@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -158,7 +159,8 @@ def _measure_tag(args) -> str:
     return f"{args.measure}/alpha={args.alpha:g}/q={args.q}/n={args.sites}"
 
 
-def cmd_sample(args) -> int:
+def _sample_figure(args):
+    """Sample one histogram and render it as (CSV bytes, SVG text)."""
     measure = montecarlo.canonical_measure(args.measure)
     if args.window:
         lo, hi = (float(p) for p in args.window.split(","))
@@ -169,11 +171,8 @@ def cmd_sample(args) -> int:
     elif measure == "observable":
         lo, hi = -1.0, 1.0
     else:
-        probe = montecarlo.sample_array(measure, args.alpha, args.q, args.sites,
-                                        min(args.samples, 20000), args.seed)
-        span = probe.max() - probe.min()
-        lo, hi = probe.min() - 0.05 * span, probe.max() + 0.05 * span
-    edges = np.linspace(lo, hi, args.bins + 1)
+        lo = hi = None  # the sampler takes the range from its first samples
+    edges = args.bins if lo is None else np.linspace(lo, hi, args.bins + 1)
     hist = montecarlo.histogram_measure(
         measure, args.alpha, args.q, args.sites, args.samples, args.seed, edges,
         threads=_default_threads(args.threads),
@@ -194,23 +193,25 @@ def cmd_sample(args) -> int:
         for i in range(hist.counts.size)
     ]
     csv_payload = _csv_bytes(comments, ["bin_left", "bin_right", "count", "density"], rows)
-    if args.format == "csv":
-        _emit(csv_payload, args.output)
-    else:
-        series = [(hist.edges, dens, "#3050b0", "step")]
-        marks = ()
-        if overlay is not None:
-            series.append((overlay.abscissas, overlay.densities, "#b03030", "line"))
-            marks = overlay.singular_points
-        svg = svgplot.plot_svg(
-            series,
-            title=_measure_tag(args),
-            xlabel=measure,
-            marks=marks,
-            log_y=args.log_y,
-            data_table=csv_payload.decode(),
-        )
-        _emit(svg.encode(), args.output)
+    series = [(hist.edges, dens, "#3050b0", "step")]
+    marks = ()
+    if overlay is not None:
+        series.append((overlay.abscissas, overlay.densities, "#b03030", "line"))
+        marks = overlay.singular_points
+    svg = svgplot.plot_svg(
+        series,
+        title=_measure_tag(args),
+        xlabel=measure,
+        marks=marks,
+        log_y=args.log_y,
+        data_table=csv_payload.decode(),
+    )
+    return csv_payload, svg
+
+
+def cmd_sample(args) -> int:
+    csv_payload, svg = _sample_figure(args)
+    _emit(csv_payload if args.format == "csv" else svg.encode(), args.output)
     return 0
 
 
@@ -238,10 +239,13 @@ def cmd_fit_divergence(args) -> int:
     # geometric bins around the center keep the ln regressor well conditioned
     wings = np.geomspace(window[0] / 2, window[1] * 2, args.bins_per_side + 1)
     edges = np.unique(np.concatenate([center - wings, center + wings]))
-    hist = montecarlo.histogram_measure(
-        "n", args.alpha, 2, 1, args.samples, args.seed, edges,
-        threads=_default_threads(args.threads), strict_support=False,
-    )
+    with warnings.catch_warnings():
+        # most samples fall outside the window's bins by design; no news there
+        warnings.filterwarnings("ignore", message=".*outside the histogram range")
+        hist = montecarlo.histogram_measure(
+            "n", args.alpha, 2, 1, args.samples, args.seed, edges,
+            threads=_default_threads(args.threads), strict_support=False,
+        )
     if args.scan:
         candidates = center + np.linspace(-args.scan, args.scan, 41)
         best_center, fit, _ = montecarlo.scan_divergence_center(hist, candidates, window, args.side)
@@ -291,7 +295,8 @@ def cmd_mean_sre(args) -> int:
     ln2 = math.log(2.0)
     payload = {"mean_m2_nats": value, "mean_m2_bits": value / ln2, "tol": args.tol}
     if args.mc:
-        mean, se = montecarlo.measure_mean("m", 2.0, 2, 1, args.mc, args.seed)
+        mean, se = montecarlo.measure_mean("m", 2.0, 2, 1, args.mc, args.seed,
+                                           threads=_default_threads(args.threads))
         payload.update({
             "mc_mean_nats": mean, "mc_standard_error_nats": se,
             "mc_mean_bits": mean / ln2, "mc_standard_error_bits": se / ln2,
@@ -328,17 +333,12 @@ def cmd_reproduce_figures(args) -> int:
         ns = argparse.Namespace(
             measure=cfg["measure"], alpha=2.0, q=cfg["q"], sites=cfg["sites"],
             samples=n_samples, seed=args.seed, bins=cfg["bins"], window=None,
-            overlay_exact=cfg["overlay"], format="csv",
-            output=os.path.join(args.outdir, f"{name}.csv"),
-            threads=threads, log_y=False,
+            overlay_exact=cfg["overlay"], threads=threads, log_y=False,
         )
-        cmd_sample(ns)
-        ns.format = "svg"
-        ns.output = os.path.join(args.outdir, f"{name}.svg")
-        cmd_sample(ns)
-        digest = hashlib.sha256(
-            open(os.path.join(args.outdir, f"{name}.csv"), "rb").read()
-        ).hexdigest()
+        csv_payload, svg = _sample_figure(ns)
+        _emit(csv_payload, os.path.join(args.outdir, f"{name}.csv"))
+        _emit(svg.encode(), os.path.join(args.outdir, f"{name}.svg"))
+        digest = hashlib.sha256(csv_payload).hexdigest()
         manifest["outputs"][name] = {
             "n_samples": n_samples,
             "csv": f"{name}.csv",

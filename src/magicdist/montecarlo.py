@@ -3,13 +3,17 @@ divergence fits and goodness-of-fit against the exact curves.
 
 Sampling is deterministic for a given seed regardless of worker count:
 samples are produced in fixed chunks of 4096, chunk i drawing from the
-Philox stream (seed, stream_id=i).  Histogram merging is plain integer
-addition, so any parallel schedule reproduces the serial result bit for
-bit.
+Philox stream (seed, stream_id=i).  ``sample_measure`` is the one chunk
+engine: it yields the chunks in stream order and, with several threads,
+keeps at most two per thread in flight, so memory stays bounded.  The
+other samplers only reduce its stream (concatenation, sums, integer bin
+counts), so any thread count reproduces the serial result bit for bit.
 """
 from __future__ import annotations
 
+import itertools
 import warnings
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -24,6 +28,7 @@ from .errors import (
     SupportViolation,
 )
 from .exact_pdf import PdfCurve, support_for
+from .pauli_spectrum import _power_sum, hermitian_observable
 from .pauli_spectrum import pauli_moment_batch, weyl_moment_batch
 from .statevec import SeededRng, haar_block
 
@@ -76,13 +81,7 @@ def _measure_chunk(states, measure, alpha, q, n_sites, observable):
         comp_sq[:, 2] = (a0.real**2 + a0.imag**2 - a1.real**2 - a1.imag**2) ** 2
         # exact normalization of the Bloch vector keeps N inside its support
         comp_sq /= np.sum(comp_sq, axis=1, keepdims=True)
-        if float(alpha).is_integer() and 1 <= int(alpha) <= 8:
-            acc = comp_sq.copy()
-            for _ in range(int(alpha) - 1):
-                acc *= comp_sq
-            n_vals = acc.sum(axis=1)
-        else:
-            n_vals = np.sum(comp_sq**alpha, axis=1)
+        n_vals = _power_sum(comp_sq, alpha, axis=1)
         np.clip(n_vals, 3.0 ** (1.0 - alpha), 1.0, out=n_vals)
     elif q == 2:
         n_vals = pauli_moment_batch(states, alpha)
@@ -100,16 +99,36 @@ def _measure_chunk(states, measure, alpha, q, n_sites, observable):
 
 def _default_observable(d: int, observable):
     if observable is not None:
-        return np.asarray(observable, dtype=np.complex128)
+        return hermitian_observable(observable, d)
     if d == 2:
         return np.diag([1.0 + 0j, -1.0 + 0j])
     raise ValueError("an explicit observable is required for d > 2")
 
 
-def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None):
-    """Yield chunks of measure values, 4096 samples per stream.
+def _in_order(work, n_chunks: int, threads):
+    """Yield ``work(i)`` for i = 0..n_chunks-1, at most 2 * threads in flight."""
+    if not threads or threads < 2:
+        yield from map(work, range(n_chunks))
+        return
+    pool = ThreadPoolExecutor(max_workers=threads)
+    pending = deque()
+    try:
+        for i in range(n_chunks):
+            pending.append(pool.submit(work, i))
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
-    The concatenated output is a deterministic function of
+
+def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None, threads=1):
+    """Validate the request, then return a generator of measure-value chunks.
+
+    Chunk i holds up to 4096 samples drawn from the stream (seed, i); the
+    chunks come in stream order for every ``threads``, so the concatenated
+    output is a deterministic function of
     (measure, alpha, q, n_sites, n_samples, seed) alone.
     """
     measure = canonical_measure(measure)
@@ -120,14 +139,12 @@ def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None)
     _check_guards(q, n_sites)
     d = q**n_sites
     obs = _default_observable(d, observable) if measure == "observable" else None
-    produced = 0
-    chunk_idx = 0
-    while produced < n_samples:
-        m = min(CHUNK_SIZE, n_samples - produced)
-        states = haar_block(d, SeededRng(seed, chunk_idx), m)
-        yield _measure_chunk(states, measure, alpha, q, n_sites, obs)
-        produced += m
-        chunk_idx += 1
+
+    def work(i):
+        states = haar_block(d, SeededRng(seed, i), min(CHUNK_SIZE, n_samples - i * CHUNK_SIZE))
+        return _measure_chunk(states, measure, alpha, q, n_sites, obs)
+
+    return _in_order(work, -(-n_samples // CHUNK_SIZE), threads)
 
 
 def sample_array(measure, alpha, q, n_sites, n_samples, seed, observable=None) -> np.ndarray:
@@ -202,12 +219,6 @@ def build_histogram(samples, edges, seed: int = 0, measure_tag: str = "") -> His
                      n_below=below, n_above=above)
 
 
-def _chunk_plan(n_samples: int):
-    n_chunks = (n_samples + CHUNK_SIZE - 1) // CHUNK_SIZE
-    for i in range(n_chunks):
-        yield i, min(CHUNK_SIZE, n_samples - i * CHUNK_SIZE)
-
-
 def histogram_measure(
     measure,
     alpha,
@@ -222,70 +233,53 @@ def histogram_measure(
 ) -> Histogram:
     """Sample and bin in one pass, optionally across a thread pool.
 
-    The result is identical for every thread count.  With
-    ``strict_support`` (default: automatic for N/Xi/M on one qubit when the
-    edges span the full support) any out-of-range sample raises, since the
-    support of those measures is exact rather than statistical.
+    ``edges`` may be a bin count, as for ``numpy.histogram``: the range then
+    spans the first ``min(n_samples, 20000)`` samples, widened by 5% of
+    their span on each side.  The result is identical for every thread
+    count.  With ``strict_support`` (default: automatic for N/Xi/M on one
+    qubit when the edges span the full support) any out-of-range sample
+    raises, since the support of those measures is exact rather than
+    statistical.
     """
     measure = canonical_measure(measure)
-    if measure in ("n", "xi", "m", "mlin") and alpha <= 1:
-        raise InvalidOrder(f"need alpha > 1, got {alpha}")
-    _check_guards(q, n_sites)
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise InvalidEdges("edges must be a strictly increasing 1-D sequence")
-    d = q**n_sites
-    obs = _default_observable(d, observable) if measure == "observable" else None
-    nbins = edges.size - 1
-
-    def work(item):
-        idx, m = item
-        states = haar_block(d, SeededRng(seed, idx), m)
-        vals = _measure_chunk(states, measure, alpha, q, n_sites, obs)
-        return _bin_chunk(vals, edges, nbins)
-
-    counts = np.zeros(nbins, dtype=np.int64)
-    below = above = 0
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(work, _chunk_plan(n_samples))
-            for c, b, a in results:
-                counts += c
-                below += b
-                above += a
-    else:
-        for item in _chunk_plan(n_samples):
-            c, b, a = work(item)
-            counts += c
-            below += b
-            above += a
+    stream = sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable, threads)
+    if isinstance(edges, (int, np.integer)):
+        if edges < 1:
+            raise InvalidEdges(f"need at least one bin, got {edges}")
+        head = []  # the first 20000 samples set the range, then are binned
+        for chunk in stream:
+            head.append(chunk)
+            if sum(c.size for c in head) >= 20000:
+                break
+        probe = np.concatenate(head)[:20000]
+        span = probe.max() - probe.min()
+        lo, hi = probe.min() - 0.05 * span, probe.max() + 0.05 * span
+        edges, stream = np.linspace(lo, hi, edges + 1), itertools.chain(head, stream)
+    tag = f"{measure}_alpha{alpha:g}/q{q}/n{n_sites}"
+    hist = build_histogram(stream, edges, seed=int(seed), measure_tag=tag)
 
     if strict_support is None:
         if measure in ("n", "xi", "m", "mlin") and q == 2 and n_sites == 1:
             lo, hi = support_for(measure if measure != "mlin" else "xi", alpha)
             if measure == "mlin":
                 lo, hi = 1.0 - hi, 1.0 - lo
-            strict_support = edges[0] <= lo + 1e-12 and edges[-1] >= hi - 1e-12
+            strict_support = hist.edges[0] <= lo + 1e-12 and hist.edges[-1] >= hi - 1e-12
         else:
             strict_support = False
-    if below or above:
+    escaped = hist.n_below + hist.n_above
+    if escaped:
         if strict_support:
-            raise SupportViolation(
-                f"{below + above} samples escaped an exact support; this is a bug"
-            )
-        warnings.warn(f"{below + above} samples fell outside the histogram range")
-
-    tag = f"{measure}_alpha{alpha:g}/q{q}/n{n_sites}"
-    return Histogram(edges, counts, int(n_samples), seed=int(seed), measure_tag=tag,
-                     n_below=below, n_above=above)
+            raise SupportViolation(f"{escaped} samples escaped an exact support; this is a bug")
+        warnings.warn(f"{escaped} samples fell outside the histogram range")
+    return hist
 
 
-def measure_mean(measure, alpha, q, n_sites, n_samples, seed, observable=None):
+def measure_mean(measure, alpha, q, n_sites, n_samples, seed, observable=None, threads=1):
     """(mean, standard error) of a measure, deterministically accumulated."""
     total = 0.0
     total_sq = 0.0
     count = 0
-    for chunk in sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable):
+    for chunk in sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable, threads):
         total += float(np.sum(chunk))
         total_sq += float(np.sum(chunk * chunk))
         count += chunk.size

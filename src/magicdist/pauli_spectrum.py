@@ -88,16 +88,19 @@ def _fwht_last(mat: np.ndarray) -> np.ndarray:
     return mat
 
 
-def xz_expectation_table(psi: np.ndarray) -> np.ndarray:
-    """(d, d) array of <psi|X^a Z^b|psi> over all mask pairs.
+def _xz_table(states: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """(m, len(masks), d) array of |<psi|X^a Z^b|psi>|^2 for each row psi of
+    the (m, d) ``states``, each mask a in ``masks`` and every mask b.
 
-    For each row a, w_a(x) = conj(psi(x XOR a)) psi(x); the transform over x
-    then yields every b at once, for a total cost O(d^2 log d).
+    For each a, w_a(x) = conj(psi(x XOR a)) psi(x); the transform over x
+    then yields every b at once, for a total cost O(d^2 log d) per state.
     """
-    d = psi.size
-    idx = np.arange(d)
-    table = np.conj(psi[idx[:, None] ^ idx[None, :]]) * psi[None, :]
-    return _fwht_last(table)
+    # a temporary XOR index is freed before the transform allocates
+    table = states[:, masks[:, None] ^ np.arange(states.shape[-1])]
+    np.conjugate(table, out=table)
+    table *= states[:, None, :]
+    _fwht_last(table)
+    return table.real**2 + table.imag**2
 
 
 def pauli_spectrum_fast(s: PureState) -> PauliSpectrum:
@@ -106,16 +109,12 @@ def pauli_spectrum_fast(s: PureState) -> PauliSpectrum:
         raise UseWeylPath("fast Pauli path is qubit-only; call weyl_spectrum")
     if s.num_sites > FAST_MAX_SITES:
         raise ResourceLimit(f"n={s.num_sites} exceeds the fast-path guard of {FAST_MAX_SITES}")
-    psi = s.amplitudes
-    d = psi.size
-    idx = np.arange(d)
+    d = s.dim
+    masks = np.arange(d)
     mods = np.empty((d, d))
     rows = max(1, 2**22 // d)  # cap the complex scratch at ~64 MiB
     for lo in range(0, d, rows):
-        block = idx[lo : lo + rows]
-        table = np.conj(psi[block[:, None] ^ idx[None, :]]) * psi[None, :]
-        _fwht_last(table)
-        mods[lo : lo + rows] = table.real**2 + table.imag**2
+        mods[lo : lo + rows] = _xz_table(s.amplitudes[None, :], masks[lo : lo + rows])[0]
     return PauliSpectrum(mods.reshape(-1)[1:], 2, s.num_sites)
 
 
@@ -174,24 +173,28 @@ def displacement_operator(q: int, a1: int, a2: int) -> np.ndarray:
     return np.exp(1j * np.pi * a1 * a2 / q) * mat
 
 
-def weyl_spectrum(s: PureState) -> PauliSpectrum:
-    """|Tr(D_a psi)|^2 for every displacement a = (a1, a2) != (0, 0).
+def _weyl_mods(states: np.ndarray):
+    """Yield, for a1 = 0..q-1, the (m, q) array of |Tr(D_a psi)|^2 over a2
+    for each row psi of the (m, q) ``states``.
 
     Tr(D_a psi) = tau^(a1 a2) sum_k conj(psi(k + a1 mod q)) omega^(a2 k) psi(k);
     the tau prefactor drops under the modulus.
     """
-    if s.num_sites != 1:
-        raise DimensionMismatch("weyl_spectrum expects a single site")
-    q = s.local_dim
-    psi = s.amplitudes
+    q = states.shape[1]
     k = np.arange(q)
     omega_pow = np.exp(2j * np.pi * np.outer(k, k) / q)  # [a2, k]
-    vals = np.empty((q, q))
     for a1 in range(q):
-        r = np.conj(np.roll(psi, -a1)) * psi  # r[k] = conj(psi(k+a1)) psi(k)
-        amps = omega_pow @ r
-        vals[a1] = amps.real**2 + amps.imag**2
-    return PauliSpectrum(vals.reshape(-1)[1:], q, 1)
+        r = np.conj(np.roll(states, -a1, axis=1)) * states  # r[k] = conj(psi(k+a1)) psi(k)
+        amps = r @ omega_pow.T
+        yield amps.real**2 + amps.imag**2
+
+
+def weyl_spectrum(s: PureState) -> PauliSpectrum:
+    """|Tr(D_a psi)|^2 for every displacement a = (a1, a2) != (0, 0)."""
+    if s.num_sites != 1:
+        raise DimensionMismatch("weyl_spectrum expects a single site")
+    vals = np.concatenate(list(_weyl_mods(s.amplitudes[None, :])), axis=1)
+    return PauliSpectrum(vals[0, 1:], s.local_dim, 1)
 
 
 def _is_integer(x: float, tol: float = 1e-12) -> bool:
@@ -259,13 +262,19 @@ def coherence_l1(s: PureState) -> float:
     return max(total * total - 1.0, 0.0)
 
 
-def expectation(s: PureState, obs: np.ndarray) -> float:
-    """Real expectation value <psi|A|psi> of a Hermitian observable."""
+def hermitian_observable(obs, dim: int) -> np.ndarray:
+    """``obs`` as a complex (dim, dim) array, checked to be Hermitian."""
     a = np.asarray(obs, dtype=np.complex128)
-    if a.shape != (s.dim, s.dim):
-        raise DimensionMismatch(f"observable shape {a.shape} does not match d={s.dim}")
+    if a.shape != (dim, dim):
+        raise DimensionMismatch(f"observable shape {a.shape} does not match d={dim}")
     if np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise InvalidObservable("observable is not Hermitian within 1e-10")
+    return a
+
+
+def expectation(s: PureState, obs: np.ndarray) -> float:
+    """Real expectation value <psi|A|psi> of a Hermitian observable."""
+    a = hermitian_observable(obs, s.dim)
     val = complex(np.vdot(s.amplitudes, a @ s.amplitudes))
     if abs(val.imag) > 1e-10:
         raise InvalidObservable(f"expectation has imaginary residue {val.imag!r}")
@@ -283,14 +292,13 @@ def pauli_moment_batch(states: np.ndarray, alpha: float, batch: int = 0) -> np.n
         # keep the (batch, d, d) scratch near the cache size; larger blocks
         # are measurably slower, not faster
         batch = max(1, min(m, 2**19 // (d * d) or 1))
-    idx = np.arange(d)
-    xor = idx[:, None] ^ idx[None, :]
+    masks = np.arange(d)
     out = np.empty(m)
     for i in range(0, m, batch):
-        blk = states[i : i + batch]
-        table = np.conj(blk[:, xor]) * blk[:, None, :]
-        _fwht_last(table)
-        mods = (table.real**2 + table.imag**2).reshape(len(blk), -1)
+        mods = _xz_table(states[i : i + batch], masks)
+        # the gathered table is not row-major; reduce over C-ordered rows so
+        # the summation order, and hence every bit, is fixed
+        mods = np.ascontiguousarray(mods.reshape(len(mods), -1))
         if alpha == 2.0:
             out[i : i + batch] = np.einsum("bk,bk->b", mods, mods) - 1.0
         else:
@@ -300,14 +308,8 @@ def pauli_moment_batch(states: np.ndarray, alpha: float, batch: int = 0) -> np.n
 
 def weyl_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
     """N_alpha for each row of a (m, q) array of single-qudit states."""
-    m, q = states.shape
-    k = np.arange(q)
-    omega_pow = np.exp(2j * np.pi * np.outer(k, k) / q)
-    acc = np.zeros(m)
-    for a1 in range(q):
-        r = np.conj(np.roll(states, -a1, axis=1)) * states
-        amps = r @ omega_pow.T
-        mods = amps.real**2 + amps.imag**2
+    acc = np.zeros(states.shape[0])
+    for a1, mods in enumerate(_weyl_mods(states)):
         if a1 == 0:
             mods = mods[:, 1:]  # drop the identity
         acc += _power_sum(mods, alpha, axis=1)

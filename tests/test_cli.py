@@ -1,8 +1,10 @@
 import json
 import math
+import warnings
 
 import pytest
 
+from magicdist import exact_pdf, montecarlo
 from magicdist.cli import main
 
 
@@ -189,6 +191,12 @@ class TestSample:
         assert code == 0
         assert path.read_text().startswith("<svg")
 
+    @pytest.mark.parametrize("extra", [["--samples", "0"], ["--samples", "-5"],
+                                       ["--sites", "2", "--samples", "0"]])
+    def test_non_positive_samples_exit_2(self, capsys, extra):
+        assert main(["sample", "--bins", "4", *extra]) == 2
+        assert "n_samples must be positive" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore:.*outside the histogram range.*")
     def test_explicit_window(self, capsys):
         code, out = run_cli(
@@ -237,6 +245,15 @@ class TestFitDivergence:
         assert code == 0
         doc = json.loads(out)
         assert doc["center"] == pytest.approx(0.25, abs=2.5e-3)
+
+
+def test_fit_divergence_does_not_warn_about_its_window(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["fit-divergence", "--samples", "200000", "--window", "2e-4,2e-2",
+                     "--bootstrap", "20"])
+    assert code == 0
+    assert not [w for w in caught if "outside the histogram range" in str(w.message)]
 
 
 class TestCriticalPoints:
@@ -296,3 +313,39 @@ class TestReproduceFigures:
 
             digest = hashlib.sha256((tmp_path / entry["csv"]).read_bytes()).hexdigest()
             assert digest == entry["csv_sha256"]
+
+    def test_each_state_drawn_once(self, tmp_path, monkeypatch):
+        rows = []
+        draw = montecarlo.haar_block
+
+        def counting(d, rng, count):
+            rows.append(count)
+            return draw(d, rng, count)
+
+        monkeypatch.setattr(montecarlo, "haar_block", counting)
+        assert main(["reproduce-figures", "--outdir", str(tmp_path), "--scale", "0.01",
+                     "--only", "fig4_six_qubits", "fig5_qutrit"]) == 0
+        assert sum(rows) == 2000 + 4000
+
+    def test_exact_overlay_tabulated_once(self, tmp_path, monkeypatch):
+        calls = []
+        tabulate = exact_pdf.tabulate_pdf
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return tabulate(*args, **kwargs)
+
+        monkeypatch.setattr(exact_pdf, "tabulate_pdf", counting)
+        assert main(["reproduce-figures", "--outdir", str(tmp_path), "--scale", "0.001",
+                     "--only", "fig2_n2_density"]) == 0
+        assert len(calls) == 1
+
+    def test_thread_count_keeps_every_byte(self, tmp_path):
+        outs = {}
+        for threads in ("1", "2"):
+            outdir = tmp_path / f"t{threads}"
+            assert main(["reproduce-figures", "--outdir", str(outdir), "--scale", "0.005",
+                         "--threads", threads]) == 0
+            outs[threads] = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
+        assert len(outs["1"]) == 13  # six CSV, six SVG and the manifest
+        assert outs["1"] == outs["2"]

@@ -1,12 +1,16 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from magicdist import (
+    DimensionMismatch,
     Histogram,
     InsufficientData,
     InvalidEdges,
+    InvalidObservable,
     ResourceLimit,
     SupportMismatch,
     build_histogram,
@@ -21,6 +25,7 @@ from magicdist import (
     tabulate_pdf,
     SeededRng,
 )
+from magicdist import montecarlo
 from magicdist.montecarlo import CHUNK_SIZE, canonical_measure
 
 
@@ -114,6 +119,25 @@ class TestSampling:
         with pytest.raises(InvalidOrder):
             histogram_measure("n", 0.5, 2, 1, 10, 0, [0.0, 1.0])
 
+    def test_validates_when_called(self):
+        # no next(): a bad request fails before any chunk is drawn
+        for n_samples in (0, -5):
+            with pytest.raises(ValueError, match="n_samples must be positive"):
+                sample_measure("n", 2.0, 2, 2, n_samples, seed=0)
+            with pytest.raises(ValueError, match="n_samples must be positive"):
+                histogram_measure("n", 2.0, 2, 1, n_samples, 0, [0.0, 1.0])
+        with pytest.raises(ValueError):
+            sample_measure("observable", 2.0, 3, 1, 10, seed=0)
+
+    def test_observable_validated_like_expectation(self):
+        with pytest.raises(InvalidObservable):
+            sample_array("observable", 2.0, 2, 1, 10, seed=0, observable=[[1, 1], [0, -1]])
+        with pytest.raises(DimensionMismatch):
+            sample_array("observable", 2.0, 2, 1, 10, seed=0, observable=np.eye(3))
+        x = np.array([[0, 1], [1, 0]])
+        vals = sample_array("observable", 2.0, 2, 1, 10, seed=0, observable=x)
+        assert vals.shape == (10,) and np.all(np.abs(vals) <= 1.0 + 1e-12)
+
     def test_mlin_support_and_strict_binning(self):
         vals = sample_array("mlin", 2.0, 2, 1, 30_000, seed=21)
         assert vals.min() >= 0.0
@@ -195,6 +219,48 @@ class TestHistogramMeasure:
         h = histogram_measure("n", 2.0, 2, 1, 500_000, 15, edges)
         peak = h.centers()[int(np.argmax(h.density()))]
         assert abs(peak - 0.5) < 2.5 / 500  # within a couple of bin widths
+
+
+class TestChunkEngine:
+    def test_mean_thread_count_invariance(self):
+        serial = measure_mean("m", 2.0, 2, 1, 5 * CHUNK_SIZE + 11, seed=16, threads=1)
+        threaded = measure_mean("m", 2.0, 2, 1, 5 * CHUNK_SIZE + 11, seed=16, threads=3)
+        assert serial == threaded
+
+    def test_bounded_in_flight_window(self, monkeypatch):
+        started = []
+        draw = montecarlo.haar_block
+
+        def counting(d, rng, count):
+            started.append(count)
+            return draw(d, rng, count)
+
+        monkeypatch.setattr(montecarlo, "haar_block", counting)
+        stream = sample_measure("n", 2.0, 2, 1, 100 * CHUNK_SIZE, seed=17, threads=2)
+        assert started == []  # nothing is drawn before the first next()
+        first = next(stream)
+        assert first.size == CHUNK_SIZE
+        assert len(started) <= 4
+        stream.close()
+        assert len(started) <= 4
+
+    @pytest.mark.parametrize("measure,q,n_sites", [("n", 2, 2), ("mlin", 2, 1), ("n", 3, 1)])
+    def test_bin_count_probes_the_stream_prefix(self, measure, q, n_sites):
+        n_samples = 30_000  # the 20000-sample probe ends inside the fifth chunk
+        probe = sample_array(measure, 2.0, q, n_sites, 20_000, seed=18)
+        span = probe.max() - probe.min()
+        edges = np.linspace(probe.min() - 0.05 * span, probe.max() + 0.05 * span, 41)
+        ref = build_histogram(sample_array(measure, 2.0, q, n_sites, n_samples, seed=18), edges)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # samples beyond the probe may leave its range
+            h = histogram_measure(measure, 2.0, q, n_sites, n_samples, 18, 40, threads=2)
+        assert np.array_equal(h.edges, edges)
+        assert np.array_equal(h.counts, ref.counts)
+        assert (h.n_below, h.n_above, h.total_samples) == (ref.n_below, ref.n_above, n_samples)
+
+    def test_bin_count_must_be_positive(self):
+        with pytest.raises(InvalidEdges):
+            histogram_measure("n", 2.0, 2, 2, 100, 0, 0)
 
 
 def synthetic_log_histogram(center=0.5, slope=0.675, intercept=0.115, total=10**7):
