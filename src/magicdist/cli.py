@@ -160,19 +160,19 @@ def _measure_tag(args) -> str:
 
 
 def _sample_figure(args):
-    """Sample one histogram and render it as (CSV bytes, SVG text)."""
+    """Sample one histogram; return its CSV bytes and a function drawing its SVG."""
     measure = montecarlo.canonical_measure(args.measure)
     if args.window:
         lo, hi = (float(p) for p in args.window.split(","))
+        edges = np.linspace(lo, hi, args.bins + 1)
     elif measure in ("n", "xi", "m") and args.q == 2 and args.sites == 1:
-        lo, hi = exact_pdf.support_for(measure, args.alpha)
+        edges = np.linspace(*exact_pdf.support_for(measure, args.alpha), args.bins + 1)
     elif measure == "coherence":
-        lo, hi = 0.0, 1.0
+        edges = np.linspace(0.0, 1.0, args.bins + 1)
     elif measure == "observable":
-        lo, hi = -1.0, 1.0
+        edges = np.linspace(-1.0, 1.0, args.bins + 1)
     else:
-        lo = hi = None  # the sampler takes the range from its first samples
-    edges = args.bins if lo is None else np.linspace(lo, hi, args.bins + 1)
+        edges = args.bins  # the sampler takes the range from its first samples
     hist = montecarlo.histogram_measure(
         measure, args.alpha, args.q, args.sites, args.samples, args.seed, edges,
         threads=_default_threads(args.threads),
@@ -193,25 +193,28 @@ def _sample_figure(args):
         for i in range(hist.counts.size)
     ]
     csv_payload = _csv_bytes(comments, ["bin_left", "bin_right", "count", "density"], rows)
-    series = [(hist.edges, dens, "#3050b0", "step")]
-    marks = ()
-    if overlay is not None:
-        series.append((overlay.abscissas, overlay.densities, "#b03030", "line"))
-        marks = overlay.singular_points
-    svg = svgplot.plot_svg(
-        series,
-        title=_measure_tag(args),
-        xlabel=measure,
-        marks=marks,
-        log_y=args.log_y,
-        data_table=csv_payload.decode(),
-    )
+
+    def svg() -> bytes:
+        series = [(hist.edges, dens, "#3050b0", "step")]
+        marks = ()
+        if overlay is not None:
+            series.append((overlay.abscissas, overlay.densities, "#b03030", "line"))
+            marks = overlay.singular_points
+        return svgplot.plot_svg(
+            series,
+            title=_measure_tag(args),
+            xlabel=measure,
+            marks=marks,
+            log_y=args.log_y,
+            data_table=csv_payload.decode(),
+        ).encode()
+
     return csv_payload, svg
 
 
 def cmd_sample(args) -> int:
     csv_payload, svg = _sample_figure(args)
-    _emit(csv_payload if args.format == "csv" else svg.encode(), args.output)
+    _emit(csv_payload if args.format == "csv" else svg(), args.output)
     return 0
 
 
@@ -337,7 +340,7 @@ def cmd_reproduce_figures(args) -> int:
         )
         csv_payload, svg = _sample_figure(ns)
         _emit(csv_payload, os.path.join(args.outdir, f"{name}.csv"))
-        _emit(svg.encode(), os.path.join(args.outdir, f"{name}.svg"))
+        _emit(svg(), os.path.join(args.outdir, f"{name}.svg"))
         digest = hashlib.sha256(csv_payload).hexdigest()
         manifest["outputs"][name] = {
             "n_samples": n_samples,

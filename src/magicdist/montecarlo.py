@@ -7,7 +7,8 @@ Philox stream (seed, stream_id=i).  ``sample_measure`` is the one chunk
 engine: it yields the chunks in stream order and, with several threads,
 keeps at most two per thread in flight, so memory stays bounded.  The
 other samplers only reduce its stream (concatenation, sums, integer bin
-counts), so any thread count reproduces the serial result bit for bit.
+counts), so any thread count reproduces the serial result bit for bit;
+the per-chunk part of a reduction runs in the workers.
 """
 from __future__ import annotations
 
@@ -123,13 +124,14 @@ def _in_order(work, n_chunks: int, threads):
         pool.shutdown(cancel_futures=True)
 
 
-def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None, threads=1):
+def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None, threads=1,
+                   *, post=None):
     """Validate the request, then return a generator of measure-value chunks.
 
-    Chunk i holds up to 4096 samples drawn from the stream (seed, i); the
-    chunks come in stream order for every ``threads``, so the concatenated
-    output is a deterministic function of
-    (measure, alpha, q, n_sites, n_samples, seed) alone.
+    Chunk i holds up to 4096 samples from the stream (seed, i).  Chunks come
+    in stream order for every ``threads``, so the output depends on
+    (measure, alpha, q, n_sites, n_samples, seed) alone.  ``post`` maps
+    each chunk inside the worker, so per-chunk reductions run in parallel.
     """
     measure = canonical_measure(measure)
     if n_samples < 1:
@@ -142,7 +144,8 @@ def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None,
 
     def work(i):
         states = haar_block(d, SeededRng(seed, i), min(CHUNK_SIZE, n_samples - i * CHUNK_SIZE))
-        return _measure_chunk(states, measure, alpha, q, n_sites, obs)
+        values = _measure_chunk(states, measure, alpha, q, n_sites, obs)
+        return values if post is None else post(values)
 
     return _in_order(work, -(-n_samples // CHUNK_SIZE), threads)
 
@@ -152,6 +155,13 @@ def sample_array(measure, alpha, q, n_sites, n_samples, seed, observable=None) -
     return np.concatenate(
         list(sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable))
     )
+
+
+def _check_edges(edges) -> np.ndarray:
+    edges = np.asarray(edges, dtype=float)
+    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
+        raise InvalidEdges("edges must be a strictly increasing 1-D sequence")
+    return edges
 
 
 @dataclass(frozen=True)
@@ -167,14 +177,12 @@ class Histogram:
     n_above: int = 0
 
     def __post_init__(self):
-        e = np.asarray(self.edges, dtype=float)
+        e = _check_edges(self.edges)
         c = np.asarray(self.counts, dtype=np.int64)
         e.setflags(write=False)
         c.setflags(write=False)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "counts", c)
-        if e.ndim != 1 or e.size < 2 or np.any(np.diff(e) <= 0):
-            raise InvalidEdges("edges must be a strictly increasing 1-D sequence")
         if c.size != e.size - 1:
             raise InvalidEdges(f"need {e.size - 1} counts for {e.size} edges, got {c.size}")
 
@@ -188,35 +196,33 @@ class Histogram:
         return self.counts / (self.total_samples * self.widths())
 
 
-def _bin_chunk(values: np.ndarray, edges: np.ndarray, nbins: int):
+def _bin_chunk(values: np.ndarray, edges: np.ndarray):
+    """(counts, below, above, size) of one chunk; ``edges`` already checked."""
+    nbins = edges.size - 1
     idx = np.searchsorted(edges, values, side="right") - 1
     idx[values == edges[-1]] = nbins - 1
     below = int(np.count_nonzero(values < edges[0]))
     above = int(np.count_nonzero(values > edges[-1]))
     in_range = idx[(idx >= 0) & (idx < nbins) & (values <= edges[-1])]
-    return np.bincount(in_range, minlength=nbins).astype(np.int64), below, above
+    return np.bincount(in_range, minlength=nbins).astype(np.int64), below, above, values.size
+
+
+def _add_bins(binned, edges, seed, measure_tag) -> Histogram:
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    below = above = total = 0
+    for c, b, a, n in binned:
+        counts += c
+        below, above, total = below + b, above + a, total + n
+    return Histogram(edges, counts, total, seed, measure_tag, below, above)
 
 
 def build_histogram(samples, edges, seed: int = 0, measure_tag: str = "") -> Histogram:
     """Bin a sample array or a stream of sample chunks."""
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise InvalidEdges("edges must be a strictly increasing 1-D sequence")
-    nbins = edges.size - 1
-    counts = np.zeros(nbins, dtype=np.int64)
-    below = above = 0
-    total = 0
+    edges = _check_edges(edges)
     if isinstance(samples, np.ndarray):
         samples = [samples]
-    for chunk in samples:
-        chunk = np.asarray(chunk, dtype=float)
-        c, b, a = _bin_chunk(chunk, edges, nbins)
-        counts += c
-        below += b
-        above += a
-        total += chunk.size
-    return Histogram(edges, counts, total, seed=seed, measure_tag=measure_tag,
-                     n_below=below, n_above=above)
+    binned = (_bin_chunk(np.asarray(chunk, dtype=float), edges) for chunk in samples)
+    return _add_bins(binned, edges, seed, measure_tag)
 
 
 def histogram_measure(
@@ -242,30 +248,30 @@ def histogram_measure(
     statistical.
     """
     measure = canonical_measure(measure)
-    stream = sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable, threads)
+    args = (measure, alpha, q, n_sites, n_samples, seed, observable, threads)
     if isinstance(edges, (int, np.integer)):
         if edges < 1:
             raise InvalidEdges(f"need at least one bin, got {edges}")
-        head = []  # the first 20000 samples set the range, then are binned
-        for chunk in stream:
-            head.append(chunk)
-            if sum(c.size for c in head) >= 20000:
-                break
+        stream, head = sample_measure(*args), []
+        while sum(c.size for c in head) < min(n_samples, 20000):
+            head.append(next(stream))  # these set the range, then are binned
         probe = np.concatenate(head)[:20000]
-        span = probe.max() - probe.min()
-        lo, hi = probe.min() - 0.05 * span, probe.max() + 0.05 * span
-        edges, stream = np.linspace(lo, hi, edges + 1), itertools.chain(head, stream)
-    tag = f"{measure}_alpha{alpha:g}/q{q}/n{n_sites}"
-    hist = build_histogram(stream, edges, seed=int(seed), measure_tag=tag)
+        lo, hi = probe.min(), probe.max()
+        edges = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), edges + 1)
+        binned = (_bin_chunk(c, edges) for c in itertools.chain(head, stream))
+    else:
+        edges = _check_edges(edges)
+        # binning in the workers keeps the consuming thread off the hot path
+        binned = sample_measure(*args, post=lambda values: _bin_chunk(values, edges))
+    hist = _add_bins(binned, edges, int(seed), f"{measure}_alpha{alpha:g}/q{q}/n{n_sites}")
 
     if strict_support is None:
-        if measure in ("n", "xi", "m", "mlin") and q == 2 and n_sites == 1:
+        strict_support = measure in ("n", "xi", "m", "mlin") and q == 2 and n_sites == 1
+        if strict_support:
             lo, hi = support_for(measure if measure != "mlin" else "xi", alpha)
             if measure == "mlin":
                 lo, hi = 1.0 - hi, 1.0 - lo
             strict_support = hist.edges[0] <= lo + 1e-12 and hist.edges[-1] >= hi - 1e-12
-        else:
-            strict_support = False
     escaped = hist.n_below + hist.n_above
     if escaped:
         if strict_support:
@@ -276,13 +282,9 @@ def histogram_measure(
 
 def measure_mean(measure, alpha, q, n_sites, n_samples, seed, observable=None, threads=1):
     """(mean, standard error) of a measure, deterministically accumulated."""
-    total = 0.0
-    total_sq = 0.0
-    count = 0
-    for chunk in sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable, threads):
-        total += float(np.sum(chunk))
-        total_sq += float(np.sum(chunk * chunk))
-        count += chunk.size
+    sums = sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable, threads,
+                          post=lambda v: (float(np.sum(v)), float(np.sum(v * v)), v.size))
+    total, total_sq, count = (sum(col) for col in zip(*sums))  # in stream order
     mean = total / count
     var = max(total_sq / count - mean * mean, 0.0)
     return mean, np.sqrt(var / count)

@@ -95,8 +95,9 @@ def _xz_table(states: np.ndarray, masks: np.ndarray) -> np.ndarray:
     For each a, w_a(x) = conj(psi(x XOR a)) psi(x); the transform over x
     then yields every b at once, for a total cost O(d^2 log d) per state.
     """
-    # a temporary XOR index is freed before the transform allocates
-    table = states[:, masks[:, None] ^ np.arange(states.shape[-1])]
+    # a temporary XOR index is freed before the transform allocates; take()
+    # returns a row-major table, so later reductions run in a fixed order
+    table = np.take(states, masks[:, None] ^ np.arange(states.shape[-1]), axis=1)
     np.conjugate(table, out=table)
     table *= states[:, None, :]
     _fwht_last(table)
@@ -295,10 +296,7 @@ def pauli_moment_batch(states: np.ndarray, alpha: float, batch: int = 0) -> np.n
     masks = np.arange(d)
     out = np.empty(m)
     for i in range(0, m, batch):
-        mods = _xz_table(states[i : i + batch], masks)
-        # the gathered table is not row-major; reduce over C-ordered rows so
-        # the summation order, and hence every bit, is fixed
-        mods = np.ascontiguousarray(mods.reshape(len(mods), -1))
+        mods = _xz_table(states[i : i + batch], masks).reshape(-1, d * d)
         if alpha == 2.0:
             out[i : i + batch] = np.einsum("bk,bk->b", mods, mods) - 1.0
         else:

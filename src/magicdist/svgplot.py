@@ -127,7 +127,7 @@ def plot_svg(
     if not all_y:
         all_y = [0.0, 1.0]
     y_lo = min(all_y) if log_y else 0.0
-    y_hi = max(all_y) * 1.06
+    y_hi = max(all_y) * 1.06 or 1.0  # all-zero data still needs a y range
     frame = _Frame((min(all_x), max(all_x)), (y_lo, y_hi), log_y)
 
     body = _axes(frame, xlabel, ylabel, title)

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from magicdist import exact_pdf, montecarlo
+from magicdist import exact_pdf, montecarlo, svgplot
 from magicdist.cli import main
 
 
@@ -207,6 +207,28 @@ class TestSample:
         rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
         assert float(rows[0][0]) == pytest.approx(0.45)
         assert float(rows[-1][1]) == pytest.approx(0.55)
+
+    @pytest.mark.filterwarnings("ignore:.*outside the histogram range.*")
+    @pytest.mark.parametrize("fmt", ["csv", "svg"])
+    def test_window_outside_every_sample(self, tmp_path, fmt):
+        path = tmp_path / f"empty.{fmt}"
+        assert main(["sample", "--samples", "1000", "--bins", "4", "--window", "2,3",
+                     "--format", fmt, "--output", str(path)]) == 0
+        text = path.read_bytes().decode()
+        if fmt == "svg":
+            assert "nan" not in text and "inf" not in text  # a drawable empty plot
+            text = text.split("<![CDATA[\n", 1)[1]
+        assert "out_of_range=1000" in text
+        rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
+        assert [int(r[2]) for r in rows] == [0, 0, 0, 0]
+
+    def test_csv_draws_no_svg(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("CSV output rendered an SVG")
+
+        monkeypatch.setattr(svgplot, "plot_svg", refuse)
+        code, _ = run_cli(capsys, "sample", "--samples", "1000", "--bins", "4")
+        assert code == 0
 
 
 @pytest.mark.filterwarnings("ignore:.*outside the histogram range.*")

@@ -258,6 +258,11 @@ class TestChunkEngine:
         assert np.array_equal(h.counts, ref.counts)
         assert (h.n_below, h.n_above, h.total_samples) == (ref.n_below, ref.n_above, n_samples)
 
+    def test_workers_apply_post(self):
+        stream = sample_measure("n", 2.0, 2, 1, 2 * CHUNK_SIZE + 5, seed=19, threads=2,
+                                post=lambda values: values.size)
+        assert list(stream) == [CHUNK_SIZE, CHUNK_SIZE, 5]
+
     def test_bin_count_must_be_positive(self):
         with pytest.raises(InvalidEdges):
             histogram_measure("n", 2.0, 2, 2, 100, 0, 0)
