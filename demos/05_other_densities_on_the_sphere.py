@@ -48,7 +48,7 @@ mc = np.exp(1j * 5.0 * vals).mean()
 print(f"   Monte Carlo check at k=5: {mc.real:+.6f} {mc.imag:+.6f}i")
 
 k_grid = np.linspace(0.0, 320.0, 1281)
-chi = np.array([characteristic_function_n2(k, tol=1e-9) for k in k_grid])
+chi = characteristic_function_n2(k_grid, tol=1e-9)
 taper = np.ones_like(k_grid)
 tail = k_grid > 240.0
 taper[tail] = 0.5 * (1 + np.cos(np.pi * (k_grid[tail] - 240.0) / 80.0))

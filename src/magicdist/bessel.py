@@ -1,58 +1,6 @@
-"""Bessel function of the first kind, order zero.
+"""Bessel function of the first kind, order zero: scipy's ``j0``, even in y.
 
-Two regimes, split at |y| = 12:
-
-* convergent power series  J0(y) = sum_m (-1)^m (y^2/4)^m / (m!)^2,
-  accumulated in extended precision to tame the cancellation that grows
-  with y (largest term ~ 4e3 at y = 12);
-* Hankel asymptotic expansion beyond,
-  J0(y) = sqrt(2/(pi y)) Re[ e^{i(y - pi/4)} sum_m (-i)^m u_m / y^m ],
-  u_0 = 1, u_m = u_{m-1} (2m-1)^2 / (8m), truncated at the smallest term.
-
-Measured absolute error stays below 6e-13 everywhere (worst just above the
-split); reference values generated at 40 digits live in the test fixtures.
+``exact_pdf`` takes J0 from here, and the benchmark's per-layer tracer
+times it at ``magicdist.bessel.j0``.
 """
-from __future__ import annotations
-
-import numpy as np
-
-SERIES_CUTOFF = 12.0
-
-
-def _j0_series(y: float) -> float:
-    q = np.longdouble(y) * np.longdouble(y) / 4
-    term = np.longdouble(1.0)
-    total = np.longdouble(1.0)
-    m = 1
-    while m <= 220:
-        term = -term * q / (np.longdouble(m) * np.longdouble(m))
-        total += term
-        if abs(term) < np.longdouble(1e-25):
-            break
-        m += 1
-    return float(total)
-
-
-def _j0_hankel(y: float) -> float:
-    u = 1.0
-    acc = complex(1.0, 0.0)
-    prev = np.inf
-    m = 1
-    while m <= 60:
-        u = u * (2 * m - 1) ** 2 / (8.0 * m)
-        term = u / y**m
-        if term >= prev:
-            break
-        acc += (-1j) ** m * term
-        prev = term
-        m += 1
-    phase = np.exp(1j * (y - np.pi / 4))
-    return float(np.sqrt(2.0 / (np.pi * y)) * (phase * acc).real)
-
-
-def j0(y: float) -> float:
-    """J0 at a real argument; even in y."""
-    y = abs(float(y))
-    if y <= SERIES_CUTOFF:
-        return _j0_series(y)
-    return _j0_hankel(y)
+from scipy.special import j0  # noqa: F401

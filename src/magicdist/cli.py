@@ -162,10 +162,13 @@ def _measure_tag(args) -> str:
 def _sample_figure(args):
     """Sample one histogram; return its CSV bytes and a function drawing its SVG."""
     measure = montecarlo.canonical_measure(args.measure)
+    one_qubit = measure in ("n", "xi", "m") and args.q == 2 and args.sites == 1
+    if args.overlay_exact and not (one_qubit and args.alpha == 2):
+        raise InvalidOrder("exact overlay available for q=2, n=1, alpha=2, measures N/Xi/M")
     if args.window:
         lo, hi = (float(p) for p in args.window.split(","))
         edges = np.linspace(lo, hi, args.bins + 1)
-    elif measure in ("n", "xi", "m") and args.q == 2 and args.sites == 1:
+    elif one_qubit:
         edges = np.linspace(*exact_pdf.support_for(measure, args.alpha), args.bins + 1)
     elif measure == "coherence":
         edges = np.linspace(0.0, 1.0, args.bins + 1)
@@ -177,11 +180,7 @@ def _sample_figure(args):
         measure, args.alpha, args.q, args.sites, args.samples, args.seed, edges,
         threads=_default_threads(args.threads),
     )
-    overlay = None
-    if args.overlay_exact:
-        if not (args.q == 2 and args.sites == 1 and args.alpha == 2 and measure in ("n", "xi", "m")):
-            raise InvalidOrder("exact overlay available for q=2, n=1, alpha=2, measures N/Xi/M")
-        overlay = exact_pdf.tabulate_pdf(measure, alpha=2.0)
+    overlay = exact_pdf.tabulate_pdf(measure, alpha=2.0) if args.overlay_exact else None
 
     dens = hist.density()
     comments = [

@@ -20,6 +20,12 @@ finishes the job.  Near n = 1/2 the density behaves like
 Densities of the stabilizer purity and the entropy follow by the change of
 variables P_Xi(xi) = 2 P(2 xi - 1) and
 P_M(m) = 2(alpha-1) e^((1-alpha)m) P(2 e^((1-alpha)m) - 1).
+
+The characteristic function chi(k) = E[exp(i k N_2)] reduces, after the
+azimuthal average, to a smooth integral over x = cos(theta) in [0, 1] with
+a J0 factor.  It is taken with composite 32-node Gauss-Legendre panels,
+vectorised over the nodes with scipy's J0, and certified by comparing m
+with 2m panels; Fourier-inverting it reproduces P(n).
 """
 from __future__ import annotations
 
@@ -29,6 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from .errors import InvalidOrder, InvalidSpectrum, SingularPoint
 from .bessel import j0
@@ -38,6 +45,12 @@ DIVERGENCE_SLOPE_N2 = 3.0 / (math.sqrt(2.0) * math.pi)  # 0.675237...
 N2_SUPPORT = (1.0 / 3.0, 1.0)
 SINGULAR_GUARD = 1e-9
 _TOL_RANGE = (1e-12, 1e-4)
+
+# chi(k): a 32-node Gauss-Legendre rule mapped to [0, 1] on each panel
+_GL_NODES, _GL_WEIGHTS = roots_legendre(32)
+_GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
+_CHI_K_PER_PANEL = 16.0
+_CHI_MAX_PANELS = 8192
 
 
 def n_critical(alpha: float) -> float:
@@ -281,25 +294,47 @@ def mean_sre_exact(tol: float = 1e-8) -> float:
     return val
 
 
-def characteristic_function_n2(k: float, tol: float = 1e-10) -> complex:
-    """E[exp(i k N_2)] for one Haar qubit.
+def _chi_panels(k: float, m: int) -> complex:
+    """The chi(k) integral over [0, 1] by m equal 32-node Gauss-Legendre panels."""
+    x = ((np.arange(m)[:, None] + _GL_NODES) / m).ravel()
+    s4 = (1.0 - x * x) ** 2
+    f = np.exp(1j * k * (x**4 + 0.75 * s4)) * j0(k * s4 / 4.0)
+    return complex(np.sum(f.reshape(m, _GL_NODES.size) @ _GL_WEIGHTS) / m)
+
+
+def _chi_certified(k: float, tol: float) -> complex:
+    """Double the panel count until two successive rules agree within tol."""
+    m = 1 + int(abs(k) // _CHI_K_PER_PANEL)
+    coarse = _chi_panels(k, m)
+    while 2 * m <= _CHI_MAX_PANELS:
+        m *= 2
+        fine = _chi_panels(k, m)
+        if abs(fine - coarse) <= tol:
+            return fine
+        coarse = fine
+    raise ArithmeticError(f"chi({k!r}) not certified to {tol!r} within {m} panels")
+
+
+def characteristic_function_n2(k, tol: float = 1e-10):
+    """E[exp(i k N_2)] for one Haar qubit; k a number or an array.
 
     chi(k) = (1/2) Integral_0^pi d(theta) sin(theta)
              exp[i k cos^4(theta) + i k (3/4) sin^4(theta)] J0(k sin^4(theta)/4),
-    evaluated after the substitution x = cos(theta) (even integrand).
+    evaluated after the substitution x = cos(theta) (even integrand) by a
+    composite 32-node Gauss-Legendre rule with 1 + |k|/16 panels.  The rule
+    with twice the panels is returned once the two agree within ``tol``.
+    A number gives a complex; an array gives a complex array of its shape,
+    each entry certified on its own.
     """
-    if abs(k) > 1e4:
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
+    ks = np.asarray(k, dtype=float)
+    if not np.all(np.abs(ks) <= 1e4):
         raise ValueError("characteristic function supported for |k| <= 1e4")
-
-    def re_im(x: float) -> complex:
-        s2 = 1.0 - x * x
-        phase = k * (x**4 + 0.75 * s2 * s2)
-        return complex(math.cos(phase), math.sin(phase)) * j0(k * s2 * s2 / 4.0)
-
-    limit = int(min(200 + 4 * abs(k), 8000))
-    re, _ = quad(lambda x: re_im(x).real, 0.0, 1.0, epsabs=tol, epsrel=1e-11, limit=limit)
-    im, _ = quad(lambda x: re_im(x).imag, 0.0, 1.0, epsabs=tol, epsrel=1e-11, limit=limit)
-    return complex(re, im)
+    if ks.ndim == 0:
+        return _chi_certified(float(ks), tol)
+    out = np.array([_chi_certified(float(kk), tol) for kk in ks.flat], dtype=complex)
+    return out.reshape(ks.shape)
 
 
 # ---------------------------------------------------------------------------

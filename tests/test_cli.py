@@ -162,6 +162,19 @@ class TestSample:
                      "--overlay-exact"])
         assert code == 3
 
+    def test_overlay_guard_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before rejecting the overlay")
+
+        monkeypatch.setattr(montecarlo, "histogram_measure", refuse)
+        assert main(["sample", "--measure", "n", "--alpha", "3", "--samples", "4000000",
+                     "--overlay-exact"]) == 3
+
+    def test_overlay_guard_wins_over_resource_guard(self):
+        # both inputs are wrong; the overlay is rejected first, before any draw
+        assert main(["sample", "--measure", "n", "--sites", "12", "--samples", "10",
+                     "--overlay-exact"]) == 3
+
     def test_resource_guard_exit_4(self):
         assert main(["sample", "--measure", "n", "--q", "2", "--sites", "12",
                      "--samples", "10"]) == 4

@@ -1,7 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
+
+from magicdist import exact_pdf
 
 from magicdist import (
     DIVERGENCE_SLOPE_N2,
@@ -301,7 +305,7 @@ class TestCharacteristicFunction:
         # the k grid suppresses Gibbs ringing, and the test points stay
         # clear of the support edges and the divergence
         k_grid = np.linspace(0.0, 320.0, 1281)
-        chi = np.array([characteristic_function_n2(k, tol=1e-9) for k in k_grid])
+        chi = characteristic_function_n2(k_grid, tol=1e-9)
         taper = np.ones_like(k_grid)
         tail = k_grid > 240.0
         taper[tail] = 0.5 * (1 + np.cos(np.pi * (k_grid[tail] - 240.0) / 80.0))
@@ -310,6 +314,60 @@ class TestCharacteristicFunction:
         for n in test_points:
             val = np.trapezoid((chi * np.exp(-1j * k_grid * n)).real, k_grid) / np.pi
             assert val == pytest.approx(pdf_n2_exact(float(n), tol=1e-10), abs=1e-2)
+
+    def test_central_difference_gives_haar_mean(self):
+        # chi'(0) = i E[N_2] and the Haar mean of N_2 is 3/5
+        h = 1e-4
+        slope = (characteristic_function_n2(h) - characteristic_function_n2(-h)) / (2 * h)
+        assert abs(slope - 0.6j) < 1e-7
+
+    @staticmethod
+    def _sphere_average(k, n_c=600, n_phi=512):
+        # E[exp(i k sum_j n_j^4)] over the Bloch sphere: Gauss-Legendre in
+        # cos(theta), trapezoid in the periodic azimuth; no J0 involved
+        c, w = roots_legendre(n_c)
+        phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+        s2 = 1.0 - c * c
+        n2 = c[:, None] ** 4 + s2[:, None] ** 2 * (np.cos(phi) ** 4 + np.sin(phi) ** 4)
+        return complex(w @ np.exp(1j * k * n2).mean(axis=1)) / 2.0
+
+    @pytest.mark.parametrize("k", [1.0, 50.0, 160.0, 320.0])
+    def test_matches_sphere_quadrature(self, k):
+        assert abs(characteristic_function_n2(k) - self._sphere_average(k)) < 1e-10
+
+    def test_certified_at_the_guard_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            fine = characteristic_function_n2(1e4, tol=1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(fine - characteristic_function_n2(1e4, tol=1e-10)) < 1e-10
+        assert peak < 16 * 2**20
+
+    def test_array_matches_scalar_bitwise(self):
+        ks = np.array([[0.0, -3.5, 20.0], [137.0, 1e3, -1e4]])
+        vals = characteristic_function_n2(ks)
+        assert vals.shape == ks.shape and vals.dtype == complex
+        scalars = np.array([[characteristic_function_n2(float(k)) for k in row] for row in ks])
+        assert np.array_equal(vals, scalars)
+        assert type(characteristic_function_n2(2.0)) is complex
+
+    def test_array_guard_applies_to_every_entry(self):
+        with pytest.raises(ValueError):
+            characteristic_function_n2(np.array([0.0, 5.0, -2e4]))
+        with pytest.raises(ValueError):
+            characteristic_function_n2(np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-13, 1e-3])
+    def test_tol_guard(self, tol):
+        with pytest.raises(ValueError, match="tol must lie"):
+            characteristic_function_n2(1.0, tol=tol)
+
+    def test_uncertified_raises(self, monkeypatch):
+        monkeypatch.setattr(exact_pdf, "_CHI_MAX_PANELS", 64)
+        with pytest.raises(ArithmeticError):
+            characteristic_function_n2(1e4)
 
 
 class TestTabulation:
