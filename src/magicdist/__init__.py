@@ -44,6 +44,8 @@ from .pauli_spectrum import (
     expectation,
     incompatibility,
     magic_report,
+    measure_from_n,
+    n_from_measure,
     pauli_spectrum_fast,
     pauli_spectrum_naive,
     weyl_spectrum,

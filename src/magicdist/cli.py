@@ -20,18 +20,7 @@ import warnings
 import numpy as np
 
 from . import exact_pdf, montecarlo, svgplot
-from .errors import (
-    InsufficientData,
-    InvalidBlochVector,
-    InvalidDimension,
-    InvalidEdges,
-    InvalidObservable,
-    InvalidOrder,
-    InvalidSpectrum,
-    ResourceLimit,
-    SingularPoint,
-    SupportMismatch,
-)
+from .errors import InsufficientData, InvalidOrder, ResourceLimit, SingularPoint
 from .pauli_spectrum import magic_report, pauli_spectrum_fast, weyl_spectrum
 from .statevec import BlochVector, SeededRng, from_bloch, haar_sample, state_from_amplitudes
 
@@ -41,16 +30,6 @@ EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_RESOURCE = 4
 EXIT_STATISTICS = 5
-
-_INPUT_ERRORS = (
-    InvalidDimension,
-    InvalidBlochVector,
-    InvalidObservable,
-    InvalidSpectrum,
-    InvalidEdges,
-    SupportMismatch,
-    ValueError,
-)
 
 
 def _g17(v: float) -> str:
@@ -171,7 +150,7 @@ def _sample_figure(args):
     elif one_qubit:
         edges = np.linspace(*exact_pdf.support_for(measure, args.alpha), args.bins + 1)
     elif measure == "coherence":
-        edges = np.linspace(0.0, 1.0, args.bins + 1)
+        edges = np.linspace(0.0, args.q**args.sites - 1.0, args.bins + 1)
     elif measure == "observable":
         edges = np.linspace(-1.0, 1.0, args.bins + 1)
     else:
@@ -447,7 +426,7 @@ def main(argv=None) -> int:
     except (InsufficientData, SingularPoint) as exc:
         print(f"statistical insufficiency: {exc}", file=sys.stderr)
         return EXIT_STATISTICS
-    except _INPUT_ERRORS as exc:
+    except ValueError as exc:  # every input error of the package subclasses it
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

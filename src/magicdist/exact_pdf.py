@@ -17,9 +17,11 @@ x = lo + (hi-lo) sin^2 t then removes them entirely and an adaptive rule
 finishes the job.  Near n = 1/2 the density behaves like
 -3/(sqrt(2) pi) * ln|n - 1/2| + b with b fitted once from regular points.
 
-Densities of the stabilizer purity and the entropy follow by the change of
-variables P_Xi(xi) = 2 P(2 xi - 1) and
-P_M(m) = 2(alpha-1) e^((1-alpha)m) P(2 e^((1-alpha)m) - 1).
+The stabilizer purity Xi, the entropy M and the linear entropy M_lin are
+functions of N (``pauli_spectrum.measure_from_n``).  Their supports,
+critical values and densities come from that one map: the density of a
+variable v is |dN/dv| P(N(v)), with N(v) and |dN/dv| from the inverse
+``pauli_spectrum.n_from_measure``; e.g. P_Xi(xi) = 2 P(2 xi - 1).
 
 The characteristic function chi(k) = E[exp(i k N_2)] reduces, after the
 azimuthal average, to a smooth integral over x = cos(theta) in [0, 1] with
@@ -39,6 +41,7 @@ from scipy.special import roots_legendre
 
 from .errors import InvalidOrder, InvalidSpectrum, SingularPoint
 from .bessel import j0
+from .pauli_spectrum import measure_from_n, n_from_measure
 from .statevec import BlochVector
 
 DIVERGENCE_SLOPE_N2 = 3.0 / (math.sqrt(2.0) * math.pi)  # 0.675237...
@@ -59,24 +62,19 @@ def n_critical(alpha: float) -> float:
 
 
 def xi_critical(alpha: float) -> float:
-    return (1.0 + n_critical(alpha)) / 2.0
+    return measure_from_n(n_critical(alpha), "xi", alpha, 2)
 
 
 def m_critical(alpha: float) -> float:
-    return math.log(xi_critical(alpha)) / (1.0 - alpha)
+    return float(measure_from_n(n_critical(alpha), "m", alpha, 2))
 
 
 def support_for(variable: str, alpha: float = 2.0) -> tuple[float, float]:
-    """Closed support of the named single-qubit density."""
-    lo_n = 3.0 ** (1.0 - alpha)
-    v = variable.lower()
-    if v == "n":
-        return (lo_n, 1.0)
-    if v == "xi":
-        return ((1.0 + lo_n) / 2.0, 1.0)
-    if v == "m":
-        return (0.0, math.log((1.0 + lo_n) / 2.0) / (1.0 - alpha))
-    raise ValueError(f"unknown variable {variable!r}")
+    """Closed support of the named single-qubit density: "n", "xi", "m" or "mlin"."""
+    ends = (measure_from_n(n, variable.lower(), alpha, 2) for n in (3.0 ** (1.0 - alpha), 1.0))
+    # + 0.0 turns the entropy's -0.0 at N = 1 into +0.0
+    lo, hi = sorted(float(v) + 0.0 for v in ends)
+    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -221,40 +219,42 @@ def pdf_n2_exact(n: float, tol: float = 1e-10) -> float:
     return 4.0 / math.pi * total
 
 
+def _mapped_density(variable: str, alpha: float, tol: float):
+    """The exact density x -> |dN/dx| P(N(x)) of a variable of N_2.
+
+    ``tol`` is checked here, once per variable; the tolerance handed to
+    ``pdf_n2_exact`` is tol / |dN/dx|, clamped to the admissible range.
+    """
+    if alpha != 2:
+        raise NotImplementedError(f"closed-form {variable} density is available at alpha = 2 only")
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
+    lo, hi = support_for(variable, alpha)
+
+    def density(x: float) -> float:
+        if not lo <= x <= hi:
+            return 0.0
+        n, jac = n_from_measure(x, variable, alpha, 2)
+        try:
+            return jac * pdf_n2_exact(n, tol=min(max(tol / jac, _TOL_RANGE[0]), _TOL_RANGE[1]))
+        except SingularPoint as sp:
+            # |n - n_c| = |dN/dx| |x - x_c| to leading order
+            c = float(measure_from_n(sp.location, variable, alpha, 2))
+            _, scale = n_from_measure(c, variable, alpha, 2)
+            intercept = scale * (sp.log_intercept - sp.log_slope * math.log(scale))
+            raise SingularPoint(c, scale * sp.log_slope, intercept) from None
+
+    return density
+
+
 def pdf_xi(alpha: float, xi: float, tol: float = 1e-10) -> float:
     """Density of the stabilizer purity; exact evaluation needs alpha = 2."""
-    if alpha != 2:
-        raise NotImplementedError("closed-form purity density is available at alpha = 2 only")
-    lo, hi = support_for("xi", alpha)
-    if not lo <= xi <= hi:
-        return 0.0
-    try:
-        inner_tol = min(max(tol / 2.0, _TOL_RANGE[0]), _TOL_RANGE[1])
-        return 2.0 * pdf_n2_exact(2.0 * xi - 1.0, tol=inner_tol)
-    except SingularPoint as sp:
-        slope = 2.0 * sp.log_slope
-        intercept = 2.0 * (sp.log_intercept - sp.log_slope * math.log(2.0))
-        raise SingularPoint(xi_critical(alpha), slope, intercept) from None
+    return _mapped_density("xi", alpha, tol)(xi)
 
 
 def pdf_m(alpha: float, m: float, tol: float = 1e-10) -> float:
     """Density of the stabilizer Renyi entropy (nats); alpha = 2 only."""
-    if alpha != 2:
-        raise NotImplementedError("closed-form entropy density is available at alpha = 2 only")
-    lo, hi = support_for("m", alpha)
-    if not lo <= m <= hi:
-        return 0.0
-    jac = 2.0 * (alpha - 1.0) * math.exp((1.0 - alpha) * m)
-    try:
-        inner_tol = min(max(tol / jac, _TOL_RANGE[0]), _TOL_RANGE[1])
-        return jac * pdf_n2_exact(2.0 * math.exp((1.0 - alpha) * m) - 1.0, tol=inner_tol)
-    except SingularPoint as sp:
-        # |n - n_c| = 2 e^{-m_c} (alpha-1) |m - m_c| to leading order
-        mc = m_critical(alpha)
-        scale = 2.0 * math.exp((1.0 - alpha) * mc) * (alpha - 1.0)
-        slope = scale * sp.log_slope
-        intercept = scale * (sp.log_intercept - sp.log_slope * math.log(scale))
-        raise SingularPoint(mc, slope, intercept) from None
+    return _mapped_density("m", alpha, tol)(m)
 
 
 def pdf_coherence(c: float) -> float:
@@ -485,10 +485,10 @@ class PdfCurve:
         cuts.append(self.abscissas.size)
         return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
 
-    def _gap_model(self, c: float, lo_idx: int, hi_idx: int, n_fit: int = 6):
-        """Fit density ~ -s ln|x-c| + b from the points flanking the gap."""
+    def _gap_model(self, c: float, lo_idx: int, hi_idx: int):
+        """Fit density ~ -s ln|x-c| + b from the six points on each side of the gap."""
         xs, ys = [], []
-        for sel in (slice(max(lo_idx - n_fit, 0), lo_idx), slice(hi_idx, hi_idx + n_fit)):
+        for sel in (slice(max(lo_idx - 6, 0), lo_idx), slice(hi_idx, hi_idx + 6)):
             xs.append(self.abscissas[sel])
             ys.append(self.densities[sel])
         t = -np.log(np.abs(np.concatenate(xs) - c))
@@ -554,15 +554,9 @@ def tabulate_pdf(
     v = variable.lower()
     if v not in ("n", "xi", "m"):
         raise ValueError(f"unknown variable {variable!r}")
-    if alpha != 2:
-        raise NotImplementedError("exact tabulation is available at alpha = 2 only")
+    evaluate = _mapped_density(v, alpha, tol)
     lo, hi = support_for(v, alpha)
-    c = {"n": n_critical, "xi": xi_critical, "m": m_critical}[v](alpha)
-    evaluate = {
-        "n": lambda x: pdf_n2_exact(x, tol=tol),
-        "xi": lambda x: pdf_xi(alpha, x, tol=tol),
-        "m": lambda x: pdf_m(alpha, x, tol=tol),
-    }[v]
+    c = float(measure_from_n(n_critical(alpha), v, alpha, 2))
     grid = _refined_grid(lo, hi, [c], num_points, guard)
     dens = np.array([evaluate(x) for x in grid])
     return PdfCurve(

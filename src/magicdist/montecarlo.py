@@ -29,7 +29,7 @@ from .errors import (
     SupportViolation,
 )
 from .exact_pdf import PdfCurve, support_for
-from .pauli_spectrum import _power_sum, hermitian_observable
+from .pauli_spectrum import _power_sum, hermitian_observable, measure_from_n
 from .pauli_spectrum import pauli_moment_batch, weyl_moment_batch
 from .statevec import SeededRng, haar_block
 
@@ -66,7 +66,6 @@ def _check_guards(q: int, n_sites: int):
 
 
 def _measure_chunk(states, measure, alpha, q, n_sites, observable):
-    d = q**n_sites
     if measure == "coherence":
         t = np.sum(np.abs(states), axis=1)
         return np.maximum(t * t - 1.0, 0.0)
@@ -83,19 +82,12 @@ def _measure_chunk(states, measure, alpha, q, n_sites, observable):
         # exact normalization of the Bloch vector keeps N inside its support
         comp_sq /= np.sum(comp_sq, axis=1, keepdims=True)
         n_vals = _power_sum(comp_sq, alpha, axis=1)
-        np.clip(n_vals, 3.0 ** (1.0 - alpha), 1.0, out=n_vals)
+        np.clip(n_vals, *support_for("n", alpha), out=n_vals)
     elif q == 2:
         n_vals = pauli_moment_batch(states, alpha)
     else:
         n_vals = weyl_moment_batch(states, alpha)
-    if measure == "n":
-        return n_vals
-    xi = (1.0 + n_vals) / d
-    if measure == "xi":
-        return xi
-    if measure == "mlin":
-        return 1.0 - xi
-    return np.log(xi) / (1.0 - alpha)
+    return measure_from_n(n_vals, measure, alpha, q**n_sites)
 
 
 def _default_observable(d: int, observable):
@@ -268,9 +260,7 @@ def histogram_measure(
     if strict_support is None:
         strict_support = measure in ("n", "xi", "m", "mlin") and q == 2 and n_sites == 1
         if strict_support:
-            lo, hi = support_for(measure if measure != "mlin" else "xi", alpha)
-            if measure == "mlin":
-                lo, hi = 1.0 - hi, 1.0 - lo
+            lo, hi = support_for(measure, alpha)
             strict_support = hist.edges[0] <= lo + 1e-12 and hist.edges[-1] >= hi - 1e-12
     escaped = hist.n_below + hist.n_above
     if escaped:

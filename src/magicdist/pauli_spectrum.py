@@ -1,7 +1,9 @@
 """All Pauli (or Weyl-Heisenberg) expectation moduli of a state, and the
 measures derived from them: the 2-alpha moment N_alpha, stabilizer purity,
 stabilizer Renyi entropy (nats), its linear variant, incompatibility and
-l1 coherence.
+l1 coherence.  ``measure_from_n`` and its inverse ``n_from_measure`` are
+the one definition of the purity, entropy and linear entropy in terms of
+N_alpha; the sampler and the exact densities call them too.
 
 Spectra store the d^2 - 1 nontrivial values |<P>|^2 indexed row-major over
 the mask pair (a, b) with (0, 0) skipped, where P ~ X^a Z^b up to phase.
@@ -11,6 +13,7 @@ amplitude index (same convention as ``statevec.tensor``).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -213,6 +216,39 @@ def _power_sum(values: np.ndarray, alpha: float, axis=None) -> np.ndarray:
     return (values**alpha).sum(axis=axis)
 
 
+def measure_from_n(n, measure: str, alpha: float, d: int):
+    """The named measure of N_alpha (a number or an array) on dimension d.
+
+    ``measure`` is "n" (N_alpha itself), "xi" (stabilizer purity
+    Xi = (1 + N)/d), "m" (stabilizer Renyi entropy log(Xi)/(1 - alpha),
+    nats) or "mlin" (linear entropy 1 - Xi).
+    """
+    if measure == "n":
+        return n
+    xi = (1.0 + n) / d
+    if measure == "xi":
+        return xi
+    if measure == "m":
+        return np.log(xi) / (1.0 - alpha)
+    if measure == "mlin":
+        return 1.0 - xi
+    raise ValueError(f"unknown measure {measure!r}")
+
+
+def n_from_measure(value: float, measure: str, alpha: float, d: int) -> tuple[float, float]:
+    """Inverse of ``measure_from_n`` for a number: (N_alpha, |dN/d value|)."""
+    if measure == "n":
+        return value, 1.0
+    if measure == "xi":
+        return d * value - 1.0, float(d)
+    if measure == "mlin":
+        return d * (1.0 - value) - 1.0, float(d)
+    if measure == "m":
+        e = math.exp((1.0 - alpha) * value)
+        return d * e - 1.0, d * (alpha - 1.0) * e
+    raise ValueError(f"unknown measure {measure!r}")
+
+
 def magic_report(spec: PauliSpectrum, alpha: float, state: PureState | None = None) -> MagicReport:
     """N_alpha, stabilizer purity, SRE (nats) and linear SRE from a spectrum.
 
@@ -224,8 +260,6 @@ def magic_report(spec: PauliSpectrum, alpha: float, state: PureState | None = No
         raise InvalidOrder(f"need alpha > 1, got {alpha}")
     d = spec.dim
     n_alpha = float(_power_sum(spec.values, alpha))
-    xi = (1.0 + n_alpha) / d
-    m_alpha = float(np.log(xi) / (1.0 - alpha))
     gamma = None
     if d == 2 and _is_integer(alpha):
         gamma = float(2.0 * np.sum((1.0 - spec.values) ** int(round(alpha))))
@@ -235,9 +269,9 @@ def magic_report(spec: PauliSpectrum, alpha: float, state: PureState | None = No
     return MagicReport(
         alpha=float(alpha),
         n_alpha=n_alpha,
-        xi_alpha=xi,
-        m_alpha=m_alpha,
-        m_lin=1.0 - xi,
+        xi_alpha=measure_from_n(n_alpha, "xi", alpha, d),
+        m_alpha=float(measure_from_n(n_alpha, "m", alpha, d)),
+        m_lin=measure_from_n(n_alpha, "mlin", alpha, d),
         gamma_alpha=gamma,
         coherence=coh,
     )
@@ -286,13 +320,12 @@ def expectation(s: PureState, obs: np.ndarray) -> float:
 # Batched kernels used by the Monte Carlo sampler.
 
 
-def pauli_moment_batch(states: np.ndarray, alpha: float, batch: int = 0) -> np.ndarray:
+def pauli_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
     """N_alpha for each row of a (m, 2^n) array of qubit-register states."""
     m, d = states.shape
-    if batch <= 0:
-        # keep the (batch, d, d) scratch near the cache size; larger blocks
-        # are measurably slower, not faster
-        batch = max(1, min(m, 2**19 // (d * d) or 1))
+    # keep the (batch, d, d) scratch near the cache size; larger blocks are
+    # measurably slower, not faster
+    batch = max(1, min(m, 2**19 // (d * d) or 1))
     masks = np.arange(d)
     out = np.empty(m)
     for i in range(0, m, batch):

@@ -137,19 +137,8 @@ def haar_sample(d: int, rng, local_dim: int | None = None) -> PureState:
     ``local_dim`` defaults to 2 when d is a power of two (qubit register)
     and to d itself otherwise (single qudit).
     """
-    if d < 2:
-        raise InvalidDimension(f"need d >= 2, got {d}")
-    amps = haar_block(d, rng, 1)[0]
-    if local_dim is None:
-        n = int(round(np.log2(d)))
-        local_dim = 2 if 2**n == d else d
-    if local_dim == 2:
-        num_sites = int(round(np.log2(d)))
-    else:
-        if local_dim != d:
-            raise InvalidDimension(f"local_dim {local_dim} incompatible with d={d}")
-        num_sites = 1
-    return PureState(amps, local_dim, num_sites)
+    return state_from_amplitudes(haar_block(d, rng, 1)[0],
+                                 local_dim or (2 if d & (d - 1) == 0 else d))
 
 
 def from_bloch(b: BlochVector) -> PureState:

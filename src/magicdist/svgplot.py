@@ -16,10 +16,11 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 6):
+def _nice_ticks(lo: float, hi: float):
+    """About six round-numbered ticks spanning [lo, hi]."""
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / target
+    raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
@@ -98,10 +99,9 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str, title: str) -> list[str]:
     return parts
 
 
-def _polyline(frame: _Frame, xs, ys, color: str, dash: str = "") -> str:
+def _polyline(frame: _Frame, xs, ys, color: str) -> str:
     pts = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in zip(xs, ys))
-    extra = f' stroke-dasharray="{dash}"' if dash else ""
-    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5"{extra} points="{pts}"/>'
+    return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
 
 def plot_svg(

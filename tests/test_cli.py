@@ -107,6 +107,15 @@ class TestExactPdf:
         assert "abscissa,density" in body
         assert "polyline" in body
 
+    @pytest.mark.parametrize("variable", ["N", "Xi", "M"])
+    @pytest.mark.parametrize("tol", ["0", "1"])
+    def test_tol_out_of_range_exit_2(self, capsys, tmp_path, variable, tol):
+        path = tmp_path / "curve.csv"
+        code = main(["exact-pdf", "--variable", variable, "--tol", tol, "-o", str(path)])
+        assert code == 2
+        assert "tol must lie" in capsys.readouterr().err
+        assert not path.exists()
+
     def test_m_curve_marks_divergence(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         run_cli(
@@ -234,6 +243,21 @@ class TestSample:
         assert "out_of_range=1000" in text
         rows = [l.split(",") for l in text.splitlines() if l[:1].isdigit()]
         assert [int(r[2]) for r in rows] == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("q, sites", [(2, 1), (2, 2), (3, 1)])
+    def test_coherence_bins_span_zero_to_d_minus_one(self, capsys, q, sites):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no sample may fall outside the range
+            code, out = run_cli(
+                capsys, "sample", "--measure", "coherence", "--q", str(q), "--sites", str(sites),
+                "--samples", "20000", "--bins", "10", "--seed", "3",
+            )
+        assert code == 0
+        assert "out_of_range=0" in out
+        rows = [l.split(",") for l in out.splitlines() if l and not l.startswith("#")][1:]
+        assert float(rows[0][0]) == 0.0
+        assert float(rows[-1][1]) == q**sites - 1
+        assert sum(int(r[2]) for r in rows) == 20000
 
     def test_csv_draws_no_svg(self, capsys, monkeypatch):
         def refuse(*args, **kwargs):

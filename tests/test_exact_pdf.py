@@ -127,6 +127,40 @@ class TestChangeOfVariable:
         assert support_for("xi", 2.0) == pytest.approx((2 / 3, 1.0))
         assert support_for("m", 2.0) == pytest.approx((0.0, math.log(1.5)))
 
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_entropy_support_starts_at_positive_zero(self, alpha):
+        lo = support_for("m", alpha)[0]
+        assert lo == 0.0 and math.copysign(1.0, lo) == 1.0
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_linear_entropy_support(self, alpha):
+        xi_lo, xi_hi = support_for("xi", alpha)
+        assert support_for("mlin", alpha) == (1.0 - xi_hi, 1.0 - xi_lo)
+
+    def test_singular_models_keep_their_closed_forms(self):
+        slope, b = DIVERGENCE_SLOPE_N2, exact_pdf.n2_log_intercept()
+        with pytest.raises(SingularPoint) as err:
+            pdf_xi(2.0, 0.75)
+        assert err.value.log_slope == pytest.approx(2.0 * slope, rel=1e-12)
+        assert err.value.log_intercept == pytest.approx(2.0 * (b - slope * math.log(2.0)),
+                                                        rel=1e-12)
+        mc = m_critical(2.0)
+        scale = 2.0 * math.exp(-mc)  # 2 e^((1 - alpha) m_c) (alpha - 1) at alpha = 2
+        with pytest.raises(SingularPoint) as err:
+            pdf_m(2.0, mc)
+        assert err.value.location == mc
+        assert err.value.log_slope == pytest.approx(scale * slope, rel=1e-12)
+        assert err.value.log_intercept == pytest.approx(
+            scale * (b - slope * math.log(scale)), rel=1e-12)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-13, 1e-3, 1.0])
+    def test_tolerance_range_enforced(self, tol):
+        for density in (pdf_xi, pdf_m):
+            with pytest.raises(ValueError, match="tol must lie"):
+                density(2.0, 0.2, tol=tol)
+        with pytest.raises(ValueError, match="tol must lie"):
+            tabulate_pdf("xi", num_points=20, tol=tol)
+
     def test_xi_value(self):
         assert pdf_xi(2.0, 0.87, tol=1e-10) == pytest.approx(2.209523923758365, abs=1e-9)
 

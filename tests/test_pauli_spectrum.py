@@ -17,6 +17,8 @@ from magicdist import (
     haar_sample,
     incompatibility,
     magic_report,
+    measure_from_n,
+    n_from_measure,
     pauli_spectrum_fast,
     pauli_spectrum_naive,
     single_qubit_cliffords,
@@ -248,6 +250,57 @@ class TestMagicReport:
             xis = [magic_report(spec, 2.0 * a).xi_alpha for a in (1, 2, 3, 4)]
             for lo, hi in zip(xis[1:], xis[:-1]):
                 assert lo <= hi + 1e-12
+
+
+class TestMeasureMap:
+    N_GRID = np.linspace(0.05, 1.0, 39)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("measure", ["xi", "m", "mlin"])
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_round_trip(self, alpha, measure, d):
+        for n in self.N_GRID:
+            v = float(measure_from_n(float(n), measure, alpha, d))
+            assert n_from_measure(v, measure, alpha, d)[0] == pytest.approx(n, abs=1e-14)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("measure", ["n", "xi", "m", "mlin"])
+    def test_jacobian_is_central_difference(self, alpha, measure):
+        h = 1e-6
+        for n in (0.2, 0.5, 0.9):
+            v = float(measure_from_n(n, measure, alpha, 2))
+            n_hi = n_from_measure(v + h, measure, alpha, 2)[0]
+            n_lo = n_from_measure(v - h, measure, alpha, 2)[0]
+            jac = n_from_measure(v, measure, alpha, 2)[1]
+            assert jac == pytest.approx(abs(n_hi - n_lo) / (2 * h), rel=1e-7)
+
+    def test_closed_forms(self):
+        assert measure_from_n(0.5, "xi", 2.0, 2) == 0.75
+        assert measure_from_n(0.5, "mlin", 2.0, 2) == 0.25
+        assert measure_from_n(0.5, "m", 2.0, 2) == pytest.approx(np.log(4 / 3), abs=1e-15)
+        assert measure_from_n(0.7, "n", 3.0, 4) == 0.7
+
+    def test_array_equals_number(self):
+        ns = np.linspace(0.1, 1.0, 7)
+        for measure in ("n", "xi", "m", "mlin"):
+            arr = measure_from_n(ns, measure, 3.0, 4)
+            assert np.array_equal(arr, [measure_from_n(float(n), measure, 3.0, 4) for n in ns])
+
+    def test_unknown_measure(self):
+        with pytest.raises(ValueError):
+            measure_from_n(0.5, "coherence", 2.0, 2)
+        with pytest.raises(ValueError):
+            n_from_measure(0.5, "coherence", 2.0, 2)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_magic_report_is_the_map(self, alpha):
+        for state in (H_STATE, haar_sample(4, SeededRng(3, 9)), haar_sample(3, SeededRng(3, 9))):
+            spec = weyl_spectrum(state) if state.local_dim != 2 else pauli_spectrum_fast(state)
+            r = magic_report(spec, alpha)
+            d = state.dim
+            assert r.xi_alpha == measure_from_n(r.n_alpha, "xi", alpha, d)
+            assert r.m_alpha == float(measure_from_n(r.n_alpha, "m", alpha, d))
+            assert r.m_lin == measure_from_n(r.n_alpha, "mlin", alpha, d)
 
 
 class TestIncompatibility:

@@ -65,6 +65,16 @@ class TestHaarSample:
         with pytest.raises(InvalidDimension):
             haar_sample(1, SeededRng(0))
 
+    @pytest.mark.parametrize("d, local_dim", [(8, 3), (6, 2), (3, 2), (4, 3)])
+    def test_local_dim_mismatch(self, d, local_dim):
+        with pytest.raises(InvalidDimension):
+            haar_sample(d, SeededRng(0), local_dim=local_dim)
+
+    def test_explicit_local_dim(self):
+        s = haar_sample(4, SeededRng(0), local_dim=4)
+        assert (s.local_dim, s.num_sites) == (4, 1)
+        assert np.array_equal(s.amplitudes, haar_sample(4, SeededRng(0)).amplitudes)
+
     def test_qudit_metadata(self):
         s = haar_sample(3, SeededRng(0))
         assert (s.local_dim, s.num_sites) == (3, 1)

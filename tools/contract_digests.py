@@ -1,0 +1,105 @@
+"""Write the byte-contract outputs of the CLI and print one sha256 per file.
+
+    PYTHONPATH=src python tools/contract_digests.py OUTDIR
+
+Every output is produced through ``magicdist.cli.main`` with a fixed seed,
+so two checkouts can be compared by diffing what this script prints for
+each (point PYTHONPATH at the other checkout's ``src``).  Each line reads
+``<sha256> <exit code> <file>``; a command that writes no file prints
+``-`` as its digest.  ``reproduce-figures`` contributes one line per file
+of its output directory, manifest included.
+"""
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import sys
+import warnings
+from pathlib import Path
+
+from magicdist.cli import main
+
+H_STATE = "0.7071067811865475,0.7071067811865475,0"
+
+# (output file, CLI arguments without -o)
+SINGLE_FILE = [
+    *[(f"exact_{v}.{fmt}", ["exact-pdf", "--variable", v, "--format", fmt])
+      for v in ("N", "Xi", "M") for fmt in ("csv", "svg")],
+    *[(f"exact_{v}_tol{tol}.csv", ["exact-pdf", "--variable", v, "--tol", tol])
+      for v in ("N", "Xi", "M") for tol in ("0", "1")],
+    *[(f"sample_{name}.{fmt}", ["sample", "--samples", "20000", "--bins", "50", "--seed", "3",
+                                "--format", fmt, *extra])
+      for fmt in ("csv", "svg")
+      for name, extra in [
+          ("n", ["--measure", "n"]),
+          ("n_t2", ["--measure", "n", "--threads", "2"]),
+          ("xi", ["--measure", "xi"]),
+          ("m", ["--measure", "m"]),
+          ("mlin", ["--measure", "mlin"]),
+          ("m_alpha3", ["--measure", "m", "--alpha", "3"]),
+          ("xi_alpha3", ["--measure", "xi", "--alpha", "3"]),
+          ("mlin_alpha1.5", ["--measure", "mlin", "--alpha", "1.5"]),
+          ("m_alpha1.5_q3", ["--measure", "m", "--alpha", "1.5", "--q", "3"]),
+          ("n_q3", ["--measure", "n", "--q", "3"]),
+          ("n_q4", ["--measure", "n", "--q", "4"]),
+          ("n_sites2", ["--measure", "n", "--sites", "2"]),
+          ("xi_sites2", ["--measure", "xi", "--sites", "2"]),
+          ("n_sites3", ["--measure", "n", "--sites", "3"]),
+          ("coherence", ["--measure", "coherence"]),
+          ("coherence_sites2", ["--measure", "coherence", "--sites", "2"]),
+          ("coherence_q3", ["--measure", "coherence", "--q", "3"]),
+          ("observable", ["--measure", "observable"]),
+          ("window", ["--measure", "n", "--window", "0.45,0.55"]),
+      ]],
+    ("exact_M_log_y.svg", ["exact-pdf", "--variable", "M", "--points", "200", "--log-y",
+                           "--format", "svg"]),
+    ("sample_overlay.svg", ["sample", "--measure", "m", "--samples", "20000", "--bins", "50",
+                            "--seed", "3", "--overlay-exact", "--format", "svg"]),
+    ("fit_mc.json", ["fit-divergence", "--samples", "1000000", "--window", "2e-4,2e-2",
+                     "--bootstrap", "20", "--seed", "9"]),
+    ("fit_exact.json", ["fit-divergence", "--exact", "--window", "1e-5,1e-3"]),
+    ("mean_sre_mc.json", ["mean-sre", "--mc", "100000", "--seed", "7"]),
+    ("measure_h.json", ["measure", "--bloch", H_STATE]),
+    ("measure_h_alpha3_bits.json", ["measure", "--bloch", H_STATE, "--alpha", "3", "--bits"]),
+    ("measure_basis.json", ["measure", "--amplitudes", "1,0,0,0"]),
+    ("measure_qutrit.json", ["measure", "--haar", "--dim", "3", "--local-dim", "3",
+                             "--seed", "5"]),
+    ("measure_two_qubits.json", ["measure", "--haar", "--dim", "4", "--seed", "5"]),
+    ("critical_alpha2.json", ["critical-points", "--alpha", "2"]),
+    ("critical_alpha4.json", ["critical-points", "--alpha", "4"]),
+]
+
+
+def _run(argv) -> int:
+    # only the files are compared; keep the console to the digest lines
+    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("ignore")
+        return main(argv)
+
+
+def _digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
+
+
+def contract_digests(outdir: Path):
+    """Yield (digest, exit code, file name relative to ``outdir``)."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for threads in ("1", "2"):
+        figdir = outdir / f"figures_t{threads}"
+        code = _run(["reproduce-figures", "--scale", "0.01", "--seed", "2024",
+                     "--threads", threads, "--outdir", str(figdir)])
+        for path in sorted(figdir.iterdir()):
+            yield _digest(path), code, f"{figdir.name}/{path.name}"
+    for name, argv in SINGLE_FILE:
+        path = outdir / name
+        path.unlink(missing_ok=True)
+        code = _run([*argv, "-o", str(path)])
+        yield _digest(path), code, name
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(__doc__)
+    for digest, code, name in contract_digests(Path(sys.argv[1])):
+        print(f"{digest} {code} {name}", flush=True)
