@@ -50,6 +50,7 @@ from .pauli_spectrum import (
     pauli_spectrum_naive,
     weyl_spectrum,
 )
+from .haar_moments import haar_moments_n2
 from .exact_pdf import (
     DIVERGENCE_SLOPE_N2,
     CriticalPoint,

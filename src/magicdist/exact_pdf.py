@@ -549,11 +549,14 @@ def tabulate_pdf(
 
     The grid refines logarithmically into the divergence from both sides
     down to ``guard``; the open interval around the singular abscissa is
-    left to the logarithmic model (see ``PdfCurve.integral``).
+    left to the logarithmic model (see ``PdfCurve.integral``).  The base
+    grid has ``num_points >= 2`` points, both support edges included.
     """
     v = variable.lower()
     if v not in ("n", "xi", "m"):
         raise ValueError(f"unknown variable {variable!r}")
+    if num_points < 2:
+        raise ValueError(f"num_points must be at least 2, got {num_points}")
     evaluate = _mapped_density(v, alpha, tol)
     lo, hi = support_for(v, alpha)
     c = float(measure_from_n(n_critical(alpha), v, alpha, 2))

@@ -10,6 +10,15 @@ the mask pair (a, b) with (0, 0) skipped, where P ~ X^a Z^b up to phase.
 Phases never survive the modulus, so no Y-phase convention is needed here.
 Bit 0 of a mask addresses site 0, the most significant digit of the
 amplitude index (same convention as ``statevec.tensor``).
+
+For qubit registers every |<X^a Z^b>|^2 of one mask a comes from a single
+Walsh-Hadamard transform over x of w_a(x) = conj(psi(x XOR a)) psi(x).
+The transform of length d = 2^n is the Kronecker product of Sylvester
+matrices of order at most 64, so it runs as ceil(n/6) real matrix
+products (BLAS GEMMs) rather than n butterfly passes over memory.  Each
+entry of the d x d table costs the sum of the factor orders in
+multiply-adds (64 at n = 6, 2 * 64 at n = 12), and the table is built in
+blocks of about 2^17 entries that stay in cache.
 """
 from __future__ import annotations
 
@@ -17,6 +26,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -31,6 +41,12 @@ FAST_MAX_SITES = 14
 NAIVE_MAX_SITES = 6
 PURITY_TOL = 1e-9
 
+# entries per block of the Pauli kernels' scratch (~2 MiB of complex or
+# two planes of reals): blocks that stay in cache run faster than larger ones
+_SCRATCH = 2**17
+# values per block of the power sum over a stored spectrum
+_POWER_SUM_BLOCK = 2**20
+
 
 @dataclass(frozen=True)
 class PauliSpectrum:
@@ -41,8 +57,13 @@ class PauliSpectrum:
     num_sites: int
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1).copy()
-        vals.setflags(write=False)
+        vals = np.asarray(self.values, dtype=float).reshape(-1)
+        # a read-only array over read-only memory cannot change under the
+        # spectrum, so it is kept as given; anything writable is copied
+        base = vals.base
+        if vals.flags.writeable or (isinstance(base, np.ndarray) and base.flags.writeable):
+            vals = vals.copy()
+            vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
         d = self.dim
         if vals.size != d * d - 1:
@@ -76,35 +97,85 @@ class MagicReport:
     coherence: float | None = None
 
 
-def _fwht_last(mat: np.ndarray) -> np.ndarray:
-    """In-place Walsh-Hadamard transform along the last axis (length 2^n)."""
-    d = mat.shape[-1]
-    h = 1
-    while h < d:
-        view = mat.reshape(mat.shape[:-1] + (d // (2 * h), 2, h))
-        top = view[..., 0, :]
-        bot = view[..., 1, :]
-        diff = top - bot
-        np.add(top, bot, out=top)
-        bot[...] = diff
-        h *= 2
-    return mat
+def _sylvester(k: int) -> np.ndarray:
+    """Read-only Sylvester-Hadamard matrix H[b, x] = (-1)^popcount(b & x) of order 2^k."""
+    h = scipy.linalg.hadamard(2**k, dtype=float)
+    h.setflags(write=False)
+    return h
 
 
-def _xz_table(states: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """(m, len(masks), d) array of |<psi|X^a Z^b|psi>|^2 for each row psi of
-    the (m, d) ``states``, each mask a in ``masks`` and every mask b.
+_SYLVESTER = tuple(_sylvester(k) for k in range(7))
 
-    For each a, w_a(x) = conj(psi(x XOR a)) psi(x); the transform over x
-    then yields every b at once, for a total cost O(d^2 log d) per state.
+
+def _wht_last(f: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Walsh-Hadamard transform of the real C-contiguous array ``f`` along
+    its last axis (length 2^n): g[..., b] = sum_x (-1)^popcount(b & x) f[..., x].
+
+    H_{2^n} is the Kronecker product of ceil(n/6) Sylvester matrices of
+    order at most 64, one per group of adjacent bits, so the transform is
+    that many matrix products: the lowest bits by a plain product with the
+    contiguous axis, each higher group by a product broadcast over the
+    blocks of the bits below it.  The products alternate between ``f`` and
+    ``spare`` (C-contiguous, same shape and dtype), which are both
+    overwritten; the result is returned as one of the two.
     """
-    # a temporary XOR index is freed before the transform allocates; take()
-    # returns a row-major table, so later reductions run in a fixed order
-    table = np.take(states, masks[:, None] ^ np.arange(states.shape[-1]), axis=1)
+    n = f.shape[-1].bit_length() - 1
+    parts = max(1, -(-n // 6))
+    src, dst = f, spare
+    inner = 1  # length of the bit groups already transformed
+    for i in range(parts):
+        k = (n + i) // parts  # group sizes sum to n and differ by at most 1
+        h = _SYLVESTER[k]
+        if inner == 1:
+            np.matmul(src.reshape(-1, 2**k), h, out=dst.reshape(-1, 2**k))
+        else:
+            np.matmul(h, src.reshape(-1, 2**k, inner), out=dst.reshape(-1, 2**k, inner))
+        src, dst = dst, src
+        inner <<= k
+    return src
+
+
+def _xz_scratch(m: int, rows: int, d: int):
+    """Buffers for ``_xz_table`` blocks of up to ``m`` states and ``rows``
+    masks.  They are reused across blocks because fresh arrays of a MiB or
+    more would be mapped and zero-filled by the allocator on every block,
+    which costs 2-3x the kernel's time in a fresh process."""
+    entries = m * rows * d
+    return (np.empty(rows * d, dtype=np.intp), np.empty(entries, dtype=np.complex128),
+            np.empty(2 * entries), np.empty(2 * entries))
+
+
+def _view(buf: np.ndarray, shape) -> np.ndarray:
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _xz_table(states: np.ndarray, masks: np.ndarray, scratch) -> np.ndarray:
+    """(m, len(masks), d) array of |<psi|X^a Z^b|psi>|^2 for each row psi of
+    the (m, d) ``states``, each mask a in ``masks`` and every mask b.  The
+    result lives in ``scratch`` (from ``_xz_scratch``) until the next call.
+
+    For each a, w_a(x) = conj(psi(x XOR a)) psi(x), and <X^a Z^b> is, up to
+    phase, the Walsh-Hadamard transform of w_a at b.  The real and the
+    imaginary plane of w_a go through one real transform (``_wht_last``)
+    and the table is f_re^2 + f_im^2.  Transforming the two planes apart,
+    not their sum, keeps a one-qubit table exact: |H> gives N_2 = 0.5.
+    """
+    m, d = states.shape
+    shape = (m, masks.size, d)
+    index_buf, table_buf, planes_buf, spare_buf = scratch
+    index = _view(index_buf, shape[1:])
+    np.bitwise_xor(masks[:, None], np.arange(d), out=index)
+    # the table is row-major, so later reductions run in a fixed order
+    table = _view(table_buf, shape)
+    np.take(states, index, axis=1, out=table, mode="clip")
     np.conjugate(table, out=table)
     table *= states[:, None, :]
-    _fwht_last(table)
-    return table.real**2 + table.imag**2
+    planes = _view(planes_buf, (2, *shape))
+    planes[0] = table.real
+    planes[1] = table.imag
+    f = _wht_last(planes, _view(spare_buf, planes.shape))
+    np.square(f, out=f)
+    return np.add(f[0], f[1], out=f[0])
 
 
 def pauli_spectrum_fast(s: PureState) -> PauliSpectrum:
@@ -115,11 +186,15 @@ def pauli_spectrum_fast(s: PureState) -> PauliSpectrum:
         raise ResourceLimit(f"n={s.num_sites} exceeds the fast-path guard of {FAST_MAX_SITES}")
     d = s.dim
     masks = np.arange(d)
-    mods = np.empty((d, d))
-    rows = max(1, 2**22 // d)  # cap the complex scratch at ~64 MiB
+    mods = np.empty(d * d)
+    rows = max(1, _SCRATCH // d)
+    scratch = _xz_scratch(1, rows, d)
     for lo in range(0, d, rows):
-        mods[lo : lo + rows] = _xz_table(s.amplitudes[None, :], masks[lo : lo + rows])[0]
-    return PauliSpectrum(mods.reshape(-1)[1:], 2, s.num_sites)
+        hi = min(d, lo + rows)
+        mods[lo * d : hi * d] = _xz_table(s.amplitudes[None, :], masks[lo:hi], scratch).reshape(-1)
+    # read-only, so PauliSpectrum keeps this buffer rather than a copy
+    mods.setflags(write=False)
+    return PauliSpectrum(mods[1:], 2, s.num_sites)
 
 
 _P1 = {
@@ -259,7 +334,10 @@ def magic_report(spec: PauliSpectrum, alpha: float, state: PureState | None = No
     if alpha <= 1:
         raise InvalidOrder(f"need alpha > 1, got {alpha}")
     d = spec.dim
-    n_alpha = float(_power_sum(spec.values, alpha))
+    # blocks bound the power's temporary; a spectrum of n <= 10 qubits is one block
+    vals = spec.values
+    n_alpha = float(sum(_power_sum(vals[i : i + _POWER_SUM_BLOCK], alpha)
+                        for i in range(0, vals.size, _POWER_SUM_BLOCK)))
     gamma = None
     if d == 2 and _is_integer(alpha):
         gamma = float(2.0 * np.sum((1.0 - spec.values) ** int(round(alpha))))
@@ -323,17 +401,24 @@ def expectation(s: PureState, obs: np.ndarray) -> float:
 def pauli_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
     """N_alpha for each row of a (m, 2^n) array of qubit-register states."""
     m, d = states.shape
-    # keep the (batch, d, d) scratch near the cache size; larger blocks are
-    # measurably slower, not faster
-    batch = max(1, min(m, 2**19 // (d * d) or 1))
+    # blocks of (state, mask) pairs hold about _SCRATCH entries: whole states
+    # while d^2 fits, else a run of masks of one state
+    pairs = max(1, _SCRATCH // d)
+    batch = max(1, pairs // d)
+    step = min(d, pairs)
     masks = np.arange(d)
+    scratch = _xz_scratch(min(m, batch), step, d)
     out = np.empty(m)
     for i in range(0, m, batch):
-        mods = _xz_table(states[i : i + batch], masks).reshape(-1, d * d)
-        if alpha == 2.0:
-            out[i : i + batch] = np.einsum("bk,bk->b", mods, mods) - 1.0
-        else:
-            out[i : i + batch] = _power_sum(mods, alpha, axis=1) - 1.0
+        acc = 0.0
+        for lo in range(0, d, step):
+            mods = _xz_table(states[i : i + batch], masks[lo : lo + step], scratch)
+            mods = mods.reshape(mods.shape[0], -1)
+            if alpha == 2.0:
+                acc = acc + np.einsum("bk,bk->b", mods, mods)
+            else:
+                acc = acc + _power_sum(mods, alpha, axis=1)
+        out[i : i + batch] = acc - 1.0
     return out
 
 

@@ -23,6 +23,7 @@ class TestMeasure:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema"] == "magicdist/1"
+        assert doc["n_alpha"] == 0.5  # the one-qubit kernel is pinned bit for bit
         assert doc["m_alpha"] == pytest.approx(0.287682, abs=1e-6)
         assert doc["xi_alpha"] == pytest.approx(0.75, abs=1e-12)
         assert doc["gamma_alpha"] == pytest.approx(3.0, abs=1e-12)
@@ -115,6 +116,14 @@ class TestExactPdf:
         assert code == 2
         assert "tol must lie" in capsys.readouterr().err
         assert not path.exists()
+
+    @pytest.mark.parametrize("points, code", [("0", 2), ("1", 2), ("2", 0)])
+    def test_points_below_two_exit_2(self, capsys, tmp_path, points, code):
+        path = tmp_path / "curve.csv"
+        assert main(["exact-pdf", "--variable", "N", "--points", points, "-o", str(path)]) == code
+        assert path.exists() == (code == 0)
+        if code:
+            assert "num_points must be at least 2" in capsys.readouterr().err
 
     def test_m_curve_marks_divergence(self, capsys, tmp_path):
         path = tmp_path / "m.csv"

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from magicdist import (
     DimensionMismatch,
     InvalidObservable,
     InvalidOrder,
+    PauliSpectrum,
     ResourceLimit,
     SeededRng,
     UseWeylPath,
@@ -29,7 +31,7 @@ from magicdist import (
     BlochVector,
     PureState,
 )
-from magicdist.pauli_spectrum import pauli_moment_batch, weyl_moment_batch
+from magicdist.pauli_spectrum import _wht_last, pauli_moment_batch, weyl_moment_batch
 from magicdist.statevec import haar_block
 
 I2 = np.eye(2, dtype=complex)
@@ -126,6 +128,60 @@ class TestQubitSpectra:
         s = haar_sample(2**12, SeededRng(12, 7))
         spec = pauli_spectrum_fast(s)
         assert spec.values.sum() == pytest.approx(2**12 - 1, abs=1e-9)
+
+
+class TestWalshHadamard:
+    @pytest.mark.parametrize("n", range(15))
+    def test_matches_explicit_sum(self, n):
+        # 0..6 bits take one matrix product, 7..12 two and 13..14 three;
+        # integer input keeps every partial sum exact, so equality is exact
+        d = 2**n
+        rng = np.random.default_rng(n)
+        f = rng.integers(-8, 9, size=(3, d)).astype(float)
+        g = _wht_last(f.copy(), np.empty_like(f))
+        assert g.shape == f.shape
+        x = np.arange(d)
+        for b in rng.integers(0, d, size=4):
+            signs = (-1.0) ** np.bitwise_count(int(b) & x)
+            np.testing.assert_array_equal(g[:, b], f @ signs)
+
+
+class TestSpectrumStorage:
+    def test_writable_input_is_copied(self):
+        vals = np.full(3, 1.0 / 3.0)
+        spec = PauliSpectrum(vals, 2, 1)
+        vals[0] = 0.9
+        assert spec.values[0] == 1.0 / 3.0
+        assert not np.shares_memory(spec.values, vals)
+        assert not spec.values.flags.writeable
+
+    def test_read_only_view_of_writable_array_is_copied(self):
+        owner = np.full(4, 0.25)
+        view = owner[1:]
+        view.setflags(write=False)
+        spec = PauliSpectrum(view, 2, 1)
+        owner[1] = 0.9
+        assert spec.values[0] == 0.25
+
+    def test_read_only_input_is_kept(self):
+        vals = np.full(3, 1.0 / 3.0)
+        vals.setflags(write=False)
+        assert np.shares_memory(PauliSpectrum(vals, 2, 1).values, vals)
+
+    def test_fast_spectrum_holds_one_d2_array(self):
+        # the spectrum owns one d^2 buffer; the kernel's scratch (~2 MiB) and
+        # the report's power sum (8 MiB blocks) add a fixed amount to it
+        s = haar_sample(2**11, SeededRng(11, 3))
+        d2_bytes = 8 * 4**11
+        tracemalloc.start()
+        try:
+            spec = pauli_spectrum_fast(s)
+            report = magic_report(spec, 2.0, state=s)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < d2_bytes + 16 * 2**20
+        assert report.n_alpha == pytest.approx(float(np.sum(spec.values**2)), rel=1e-12)
 
 
 class TestWeylSpectrum:
@@ -399,6 +455,15 @@ class TestBatchedKernels:
         for i in range(40):
             spec = pauli_spectrum_fast(PureState(states[i], 2, 3))
             assert batched[i] == pytest.approx(float(np.sum(spec.values**2)), abs=1e-12)
+
+    @pytest.mark.parametrize("alpha", [2.0, 3.0])
+    def test_pauli_batch_ten_qubits_matches_spectrum(self, alpha):
+        # the sampler's largest register: each state's masks run in blocks
+        states = haar_block(2**10, SeededRng(10, 4), 2)
+        batched = pauli_moment_batch(states, alpha)
+        for i in range(2):
+            spec = pauli_spectrum_fast(PureState(states[i], 2, 10))
+            assert batched[i] == pytest.approx(float(np.sum(spec.values**alpha)), abs=1e-12)
 
     def test_weyl_batch_matches_scalar(self):
         states = haar_block(5, SeededRng(9, 5), 40)

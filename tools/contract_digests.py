@@ -66,6 +66,9 @@ SINGLE_FILE = [
     ("measure_qutrit.json", ["measure", "--haar", "--dim", "3", "--local-dim", "3",
                              "--seed", "5"]),
     ("measure_two_qubits.json", ["measure", "--haar", "--dim", "4", "--seed", "5"]),
+    # a ten-qubit spectrum spans many kernel blocks
+    ("measure_ten_qubits.json", ["measure", "--haar", "--dim", "1024", "--seed", "5"]),
+    ("sample_n_sites6.csv", ["sample", "--sites", "6", "--samples", "5000", "--seed", "3"]),
     ("critical_alpha2.json", ["critical-points", "--alpha", "2"]),
     ("critical_alpha4.json", ["critical-points", "--alpha", "4"]),
 ]
