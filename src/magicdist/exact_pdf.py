@@ -13,9 +13,23 @@ n in (1/2, 1], where x+-^2 = (1 +- sqrt(6n-2))/3 and
 y+-^2 = (1 +- sqrt(2n-1))/2.  The radicand factorizes as
 -48 (x^2-x-^2)(x^2-x+^2)(x^2-y-^2)(x^2-y+^2), which this module uses to
 evaluate the inverse-square-root endpoints stably; the substitution
-x = lo + (hi-lo) sin^2 t then removes them entirely and an adaptive rule
-finishes the job.  Near n = 1/2 the density behaves like
--3/(sqrt(2) pi) * ln|n - 1/2| + b with b fitted once from regular points.
+x = lo + (hi-lo) sin^2 t then removes them entirely.  For 3/8 < n < 1/2
+the interval is also cut at x = 1/sqrt(2), where the integrand peaks, so
+that every near-singularity of the integrand as n -> 1/2 (a root just
+beyond an end, or that peak) sits at the end of a segment.
+
+One engine evaluates the density for an array of n.  Each segment is
+integrated in t by composite 12-node Gauss-Legendre panels, graded
+geometrically toward both ends as deep as its closest root or peak needs
+(``_graded_depth``).  The rule is certified against the refined mesh
+(every panel halved plus one more graded layer): a segment is accepted
+once the two agree within its share of ``tol``, only the others are
+refined, and past ``_PDF_MAX_LEVEL`` refinements ArithmeticError is
+raised.  All segments of one kind and mesh go through together, in
+blocks of at most ``_PDF_BLOCK_NODES`` nodes, so a whole tabulation costs
+a few numpy passes in bounded memory.  Near n = 1/2 the density behaves
+like -3/(sqrt(2) pi) * ln|n - 1/2| + b with b fitted once from regular
+points.
 
 The stabilizer purity Xi, the entropy M and the linear entropy M_lin are
 functions of N (``pauli_spectrum.measure_from_n``).  Their supports,
@@ -55,6 +69,29 @@ _GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
 _CHI_K_PER_PANEL = 16.0
 _CHI_MAX_PANELS = 8192
 
+# N_2 density: 12-node Gauss-Legendre panels on meshes graded toward both
+# ends of each segment in the sin^2 variable (see ``_graded_rule``), at
+# most _PDF_MAX_DEPTH layers deep before refinement, refined at most
+# _PDF_MAX_LEVEL times
+_PANEL_NODES, _PANEL_WEIGHTS = roots_legendre(12)
+_PANEL_NODES, _PANEL_WEIGHTS = (_PANEL_NODES + 1.0) / 2.0, _PANEL_WEIGHTS / 2.0
+_PDF_MAX_DEPTH = 48
+_PDF_MAX_LEVEL = 6
+# nodes per numpy pass; bounds the scratch arrays to a few hundred KiB each
+_PDF_BLOCK_NODES = 2**13
+
+
+def _check_tol(tol: float):
+    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
+        raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
+
+
+def _check_exact(variable: str, alpha: float, tol: float):
+    """The closed-form densities exist at alpha = 2 only."""
+    if alpha != 2:
+        raise NotImplementedError(f"closed-form {variable} density is available at alpha = 2 only")
+    _check_tol(tol)
+
 
 def n_critical(alpha: float) -> float:
     """Saddle value of N_alpha, where the density diverges (one qubit)."""
@@ -88,72 +125,248 @@ class Roots2:
     y_plus: float | None = None
 
 
-def _root_squares(n: float):
-    """Squared roots in cancellation-free form.
+def _root_squares(n):
+    """Squared roots in cancellation-free form, for a number or an array n.
 
     x-^2 = (1 - 2n)/(1 + s) with s = sqrt(6n - 2) (negative above n = 1/2),
-    y-^2 = (1 - n)/(1 + t) with t = sqrt(2n - 1), and the gap
-    x+^2 - y+^2 = (n - 1)^2 / ((n + t)(2s + 3t + 1)) stays accurate even as
-    both squares approach 1.
+    y-^2 = (1 - n)/(1 + t) with t = sqrt(2n - 1), whose gap y+^2 - y-^2 is
+    t itself, and the gap x+^2 - y+^2 = (n - 1)^2 / ((n + t)(2s + 3t + 1))
+    stays accurate even as both squares approach 1.  The y entries and the
+    gaps mean something only where n > 1/2 (t is taken as 0 below).
     """
-    s = math.sqrt(6.0 * n - 2.0)
+    s = np.sqrt(6.0 * n - 2.0)
+    t = np.sqrt(np.maximum(2.0 * n - 1.0, 0.0))
     x_m2 = (1.0 - 2.0 * n) / (1.0 + s)
     x_p2 = (1.0 + s) / 3.0
-    if n <= 0.5:
-        return s, x_m2, x_p2, None, None, None
-    t = math.sqrt(2.0 * n - 1.0)
     y_m2 = (1.0 - n) / (1.0 + t)
     y_p2 = (1.0 + t) / 2.0
     gap_xy2 = (n - 1.0) ** 2 / ((n + t) * (2.0 * s + 3.0 * t + 1.0))
-    return s, x_m2, x_p2, y_m2, y_p2, gap_xy2
+    return x_m2, x_p2, y_m2, y_p2, t, gap_xy2
 
 
 def roots_n2(n: float) -> Roots2:
     if not N2_SUPPORT[0] <= n <= N2_SUPPORT[1]:
         raise ValueError(f"n={n!r} outside the support {N2_SUPPORT}")
-    _, x_m2, x_p2, y_m2, y_p2, _ = _root_squares(n)
+    x_m2, x_p2, y_m2, y_p2, _, _ = (float(r) for r in _root_squares(n))
     if n > 0.5:
         return Roots2(None, math.sqrt(x_p2), math.sqrt(y_m2), math.sqrt(y_p2))
     return Roots2(math.sqrt(max(x_m2, 0.0)), math.sqrt(x_p2))
 
 
-def _segment(lo: float, span: float, rest, left_root: bool, right_root: bool,
-             tol: float, split: float | None = None) -> float:
-    """Integrate 1/sqrt(R) over [lo, lo+span] where
-    R(x) = (x - lo)^pL (lo + span - x)^pR rest(x, x - lo, lo + span - x).
+# The integration segments.  Each radicand R is written without the factors
+# of the segment's root ends, which the sin^2 substitution supplies; c holds
+# the task's constants as (k, 1) columns, x is the abscissa, dl = x - lo and
+# dr = hi - x.  Near n = 1/2 the integrand peaks at x = 1/sqrt(2), the shared
+# end of "below_left" and "below_right", so u - 1/2 = (x - 1/sqrt(2)) *
+# (x + 1/sqrt(2)) is formed from the exact distance to that end.
 
-    The substitution x = lo + span sin^2 t supplies the endpoint factors
-    exactly (x - lo = span sin^2 t, hi - x = span cos^2 t), so the
-    transformed integrand is smooth wherever ``rest`` is positive.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+
+
+def _rest_below(c, x, dl, dr):
+    # over [x-, x+] (n <= 3/8): R = (x-x-)(x+-x) * 48 (x+x-)(x+x+) ((u-1/2)^2 + (1-2n)/4)
+    x_m, x_p, q = c
+    return 48.0 * (x + x_m) * (x + x_p) * ((x * x - 0.5) ** 2 + q)
+
+
+def _rest_below_left(c, x, dl, dr):
+    # over [x-, 1/sqrt(2)]: R = (x-x-) * 48 (x+-x)(x+x-)(x+x+) ((u-1/2)^2 + (1-2n)/4)
+    x_m, x_p, q, xp_gap = c
+    return 48.0 * (xp_gap + dr) * (x + x_m) * (x + x_p) * ((dr * (x + _INV_SQRT2)) ** 2 + q)
+
+
+def _rest_below_right(c, x, dl, dr):
+    # over [1/sqrt(2), x+]: R = (x+-x) * 48 (x-x-)(x+x-)(x+x+) ((u-1/2)^2 + (1-2n)/4)
+    x_m, x_p, q, xm_gap = c
+    return 48.0 * (xm_gap + dl) * (x + x_m) * (x + x_p) * ((dl * (x + _INV_SQRT2)) ** 2 + q)
+
+
+def _rest_low(c, x, dl, dr):
+    # over [0, y-]: R = (y- - x) * 48 (u-x-^2)(x+^2-u)(x+y-)(y+-x)(x+y+)
+    x_m2, x_p2, y_m, y_p, y_gap = c
+    u = x * x
+    return 48.0 * (u - x_m2) * (x_p2 - u) * (x + y_m) * (y_gap + dr) * (x + y_p)
+
+
+def _rest_high(c, x, dl, dr):
+    # over [y+, x+]: R = (x-y+)(x+-x) * 48 (u-x-^2)(x+x+)(u-y-^2)(x+y+)
+    x_m2, x_p, y_m, y_p, y_gap = c
+    u_minus_ym2 = (dl + y_gap) * (x + y_m)
+    return 48.0 * (x * x - x_m2) * (x + x_p) * u_minus_ym2 * (x + y_p)
+
+
+# (radicand, whether the left end is a root, whether the right end is one)
+_SEGMENTS = {
+    "below": (_rest_below, True, True),
+    "below_left": (_rest_below_left, True, False),
+    "below_right": (_rest_below_right, False, True),
+    "low": (_rest_low, False, True),
+    "high": (_rest_high, True, True),
+}
+
+
+@lru_cache(maxsize=64)
+def _graded_rule(depth: int, level: int):
+    """sin t, cos t and the weights of one composite rule on [0, pi/2].
+
+    In s = 2t/pi the half [0, 1/2] is cut geometrically toward 0 at
+    s = 2^-(j+1), j = 0..depth+level-1, and every one of those panels is
+    cut into 2^level equal ones; the other half is the mirror image, so the
+    nodes near t = pi/2 are pi/2 - t and their sine and cosine swap.
+    Depth 0, level 0 is the mesh [0, 1/2, 1]; each level halves every
+    panel and adds one graded layer at each end.
     """
-    if span <= 0.0:
-        return 0.0
-    if left_root and right_root and span < 1e-13 * max(abs(lo), 1.0):
-        # sliver between two coalescing roots: exact limit pi / sqrt(rest)
-        mid = lo + span / 2.0
-        return math.pi / math.sqrt(rest(mid, span / 2.0, span / 2.0))
+    geo = np.concatenate([[0.0], 0.5 ** np.arange(depth + level + 1, 0, -1)])
+    sub = np.arange(2**level) / 2**level
+    edges = np.append((geo[:-1, None] + np.diff(geo)[:, None] * sub).ravel(), 0.5)
+    widths = np.diff(edges)
+    t = (math.pi / 2.0) * (edges[:-1, None] + widths[:, None] * _PANEL_NODES).ravel()
+    weights = (math.pi / 2.0) * (widths[:, None] * _PANEL_WEIGHTS).ravel()
+    sin_t, cos_t = np.sin(t), np.cos(t)
+    rule = (np.concatenate([sin_t, cos_t]), np.concatenate([cos_t, sin_t]),
+            np.concatenate([weights, weights]))
+    for a in rule:  # shared by every caller through the cache
+        a.setflags(write=False)
+    return rule
 
-    def g(t: float) -> float:
-        st, ct = math.sin(t), math.cos(t)
-        dl = span * st * st
-        dr = span * ct * ct
-        f = rest(lo + dl, dl, dr)
-        if f <= 0.0:
-            return 0.0
+
+def _graded_depth(span: np.ndarray, *widths: np.ndarray) -> np.ndarray:
+    """Graded layers that put the end panels of each task inside its features.
+
+    Each width is the extent in x, measured from one end of the segment,
+    over which the integrand changes fast there: a root just beyond the end,
+    or the peak at 1/sqrt(2).  Since x - lo = span sin^2 t, that is
+    t ~ sqrt(width/span); the end panels get at most half of the smallest.
+    """
+    if not widths:
+        return np.zeros(span.shape, dtype=int)
+    s_min = (2.0 / math.pi) * np.sqrt(np.minimum.reduce(widths) / span)
+    depth = np.ceil(-np.log2(np.maximum(s_min, 2.0**-_PDF_MAX_DEPTH)))
+    return np.clip(depth, 0, _PDF_MAX_DEPTH).astype(int)
+
+
+def _graded_quadrature(depth: int, level: int, segment: str, tasks: np.ndarray) -> np.ndarray:
+    """One composite rule for each task row (lo, span, *constants).
+
+    The row integrates 1/sqrt(R) over its segment [lo, lo + span] after the
+    substitution x = lo + span sin^2 t, which supplies the factors of the
+    root ends exactly (x - lo = span sin^2 t, hi - x = span cos^2 t), so the
+    integrand in t is smooth wherever the radicand is positive.  Rows go
+    through in blocks of about ``_PDF_BLOCK_NODES`` nodes.
+    """
+    rest, left_root, right_root = _SEGMENTS[segment]
+    sin_t, cos_t, weights = _graded_rule(depth, level)
+    sin2, cos2 = sin_t * sin_t, cos_t * cos_t
+    rows = max(1, _PDF_BLOCK_NODES // weights.size)
+    out = np.empty(len(tasks))
+    for start in range(0, len(tasks), rows):
+        block = tasks[start:start + rows]
+        lo, span, *consts = (block[:, j, None] for j in range(block.shape[1]))
+        dl = span * sin2
+        dr = span * cos2
+        root = np.sqrt(np.maximum(rest(consts, lo + dl, dl, dr), 0.0))
         num = 2.0
         if not left_root:
-            num *= st * math.sqrt(span)
+            num = num * np.sqrt(span) * sin_t
         if not right_root:
-            num *= ct * math.sqrt(span)
-        return num / math.sqrt(f)
+            num = num * np.sqrt(span) * cos_t
+        g = np.divide(num, root, out=np.zeros_like(root), where=root > 0.0)
+        out[start:start + len(block)] = (g * weights).sum(axis=1)
+    return out
 
-    if split is not None and 0.0 < (split - lo) < span:
-        t_split = math.asin(min(math.sqrt((split - lo) / span), 1.0))
-        a, _ = quad(g, 0.0, t_split, epsabs=tol / 2, epsrel=1e-11, limit=300)
-        b, _ = quad(g, t_split, math.pi / 2, epsabs=tol / 2, epsrel=1e-11, limit=300)
-        return a + b
-    val, _ = quad(g, 0.0, math.pi / 2, epsabs=tol, epsrel=1e-11, limit=300)
-    return val
+
+def _certified(segment: str, tasks: np.ndarray, depth: np.ndarray, tol: np.ndarray):
+    """Integral of each task row and the difference that certified it.
+
+    A row is accepted once its rules at two successive levels agree within
+    its ``tol``; only the rows that do not agree go on to the next level.
+    Past ``_PDF_MAX_LEVEL`` the rule raises ArithmeticError.
+    """
+    value = np.empty(len(tasks))
+    error = np.empty(len(tasks))
+    for d in np.unique(depth):
+        rows = np.flatnonzero(depth == d)
+        coarse = _graded_quadrature(d, 0, segment, tasks[rows])
+        for level in range(1, _PDF_MAX_LEVEL + 1):
+            fine = _graded_quadrature(d, level, segment, tasks[rows])
+            diff = np.abs(fine - coarse)
+            ok = diff <= tol[rows]
+            value[rows[ok]] = fine[ok]
+            error[rows[ok]] = diff[ok]
+            rows, coarse = rows[~ok], fine[~ok]
+            if not rows.size:
+                break
+        if rows.size:
+            raise ArithmeticError(f"N_2 density not certified to {tol[rows[0]]:g} within "
+                                  f"{_PDF_MAX_LEVEL} levels ({segment} segment)")
+    return value, error
+
+
+def _pdf_n2(n: np.ndarray, tol: np.ndarray):
+    """Density of N_2 at each n of an array, with the error that certified it.
+
+    Zero outside [1/3, 1]; raises SingularPoint if any n lies within
+    ``SINGULAR_GUARD`` of 1/2.  The integral runs over [x-, x+] up to
+    n = 3/8, over [x-, 1/sqrt(2)] and [1/sqrt(2), x+] up to 1/2, and over
+    [0, y-] and [y+, x+] above.  Each segment is certified to tol pi/8, so
+    each density is within its ``tol``.
+    """
+    dens = np.zeros(n.shape)
+    error = np.zeros(n.shape)
+    inside = np.flatnonzero((N2_SUPPORT[0] <= n) & (n <= N2_SUPPORT[1]))
+    v = n[inside]
+    if np.any(np.abs(v - 0.5) <= SINGULAR_GUARD):
+        # the fit points sit at 1e-4 and 1e-5, well outside this guard
+        raise SingularPoint(0.5, DIVERGENCE_SLOPE_N2, n2_log_intercept())
+    total = np.zeros(v.size)
+    total_err = np.zeros(v.size)
+    seg_tol = tol[inside] * (math.pi / 8.0)
+
+    def integrate(segment, point, lo, span, consts, widths=()):
+        """Add the segment [lo, lo + span] to the integral of each point;
+        ``widths`` are its features at the ends (see ``_graded_depth``)."""
+        rest, left_root, right_root = _SEGMENTS[segment]
+        keep = span > 0.0
+        if left_root and right_root:
+            # sliver between two coalescing roots: exact limit pi / sqrt(rest)
+            thin = keep & (span < 1e-13 * np.maximum(np.abs(lo), 1.0))
+            half = span[thin, None] / 2.0
+            r = rest([c[thin, None] for c in consts], lo[thin, None] + half, half, half)
+            np.add.at(total, point[thin], math.pi / np.sqrt(r[:, 0]))
+            keep &= ~thin
+        depth = _graded_depth(span[keep], *(w[keep] for w in widths))
+        val, err = _certified(segment, np.column_stack([lo, span, *consts])[keep], depth,
+                              seg_tol[point[keep]])
+        np.add.at(total, point[keep], val)
+        np.add.at(total_err, point[keep], err)
+
+    x_m2, x_p2, y_m2, y_p2, gap_y2, gap_xy2 = _root_squares(v)
+    x_p = np.sqrt(x_p2)
+    # n <= 3/8: one segment; up to 1/2: cut at its interior peak 1/sqrt(2) < x+
+    b = np.flatnonzero(v <= 0.375)
+    x_m = np.sqrt(np.maximum(x_m2[b], 0.0))
+    integrate("below", b, x_m, x_p[b] - x_m, [x_m, x_p[b], (1.0 - 2.0 * v[b]) / 4.0])
+    b = np.flatnonzero((v > 0.375) & (v < 0.5))
+    x_m = np.sqrt(x_m2[b])
+    q = (1.0 - 2.0 * v[b]) / 4.0
+    # x+ - 1/sqrt(2) = (8n - 3) / (2 (2s + 1) (x+ + 1/sqrt(2))), s = 3 x+^2 - 1
+    xp_gap = (8.0 * v[b] - 3.0) / (2.0 * (6.0 * x_p2[b] - 1.0) * (x_p[b] + _INV_SQRT2))
+    xm_gap = _INV_SQRT2 - x_m
+    # the peak (u - 1/2)^2 ~ q spans |x - 1/sqrt(2)| ~ sqrt(q/2)
+    peak = np.sqrt(q / 2.0)
+    integrate("below_left", b, x_m, xm_gap, [x_m, x_p[b], q, xp_gap], [2.0 * x_m, xp_gap, peak])
+    integrate("below_right", b, np.full(b.size, _INV_SQRT2), xp_gap, [x_m, x_p[b], q, xm_gap], [peak])
+
+    a = np.flatnonzero(v > 0.5)
+    y_m, y_p = np.sqrt(y_m2[a]), np.sqrt(y_p2[a])
+    y_gap = gap_y2[a] / (y_p + y_m)
+    integrate("low", a, np.zeros(a.size), y_m, [x_m2[a], x_p2[a], y_m, y_p, y_gap],
+              [np.sqrt(-x_m2[a]), y_gap])
+    integrate("high", a, y_p, gap_xy2[a] / (x_p[a] + y_p), [x_m2[a], x_p[a], y_m, y_p, y_gap],
+              [y_gap])
+    dens[inside] = 4.0 / math.pi * total
+    error[inside] = 4.0 / math.pi * total_err
+    return dens, error
 
 
 @lru_cache(maxsize=4)
@@ -173,88 +386,44 @@ def pdf_n2_exact(n: float, tol: float = 1e-10) -> float:
     Returns 0 outside [1/3, 1]; raises SingularPoint within 1e-9 of the
     divergent abscissa n = 1/2, carrying the fitted logarithmic model.
     """
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
-    if not N2_SUPPORT[0] <= n <= N2_SUPPORT[1]:
-        return 0.0
-    if abs(n - 0.5) <= SINGULAR_GUARD:
-        # the fit points sit at 1e-4 and 1e-5, well outside this guard
-        raise SingularPoint(0.5, DIVERGENCE_SLOPE_N2, n2_log_intercept())
-    _, x_m2, x_p2, y_m2, y_p2, gap_xy2 = _root_squares(n)
-    scaled = tol * math.pi / 4.0
-    if n < 0.5:
-        x_m = math.sqrt(max(x_m2, 0.0))
-        x_p = math.sqrt(x_p2)
-
-        def rest_a(x, dl, dr):
-            # R = (x-x-)(x+-x) * 48 (x+x-)(x+x+) ((u-1/2)^2 + (1-2n)/4)
-            u = x * x
-            quad_y = (u - 0.5) ** 2 + (1.0 - 2.0 * n) / 4.0
-            return 48.0 * (x + x_m) * (x + x_p) * quad_y
-
-        hint = 1.0 / math.sqrt(2.0) if n > 0.375 else None
-        total = _segment(x_m, x_p - x_m, rest_a, True, True, scaled, split=hint)
-    else:
-        x_p = math.sqrt(x_p2)
-        y_m = math.sqrt(y_m2)
-        y_p = math.sqrt(y_p2)
-        y_gap = (y_p2 - y_m2) / (y_p + y_m)
-        span_b = gap_xy2 / (x_p + y_p)
-
-        def rest_low(x, dl, dr):
-            # over [0, y-]: R = (y- - x) * 48 (u-x-^2)(x+^2-u)(x+y-)(y+-x)(x+y+)
-            u = x * x
-            return (
-                48.0 * (u - x_m2) * (x_p2 - u) * (x + y_m) * (y_gap + dr) * (x + y_p)
-            )
-
-        def rest_high(x, dl, dr):
-            # over [y+, x+]: R = (x-y+)(x+-x) * 48 (u-x-^2)(x+x+)(u-y-^2)(x+y+)
-            u_minus_ym2 = (dl + y_gap) * (x + y_m)
-            return 48.0 * (x * x - x_m2) * (x + x_p) * u_minus_ym2 * (x + y_p)
-
-        total = _segment(0.0, y_m, rest_low, False, True, scaled / 2) + _segment(
-            y_p, span_b, rest_high, True, True, scaled / 2
-        )
-    return 4.0 / math.pi * total
+    _check_tol(tol)
+    return float(_pdf_n2(np.array([n], dtype=float), np.array([tol]))[0][0])
 
 
-def _mapped_density(variable: str, alpha: float, tol: float):
-    """The exact density x -> |dN/dx| P(N(x)) of a variable of N_2.
+def _mapped_density(variable: str, alpha: float, x: np.ndarray, tol: float):
+    """The exact density |dN/dx| P(N(x)) of a variable of N_2 at each x of
+    an array, and its certified error scaled the same way.
 
-    ``tol`` is checked here, once per variable; the tolerance handed to
-    ``pdf_n2_exact`` is tol / |dN/dx|, clamped to the admissible range.
+    ``tol`` is checked here, once per call; the tolerance of each N point
+    is tol / |dN/dx|, clamped to the admissible range.
     """
-    if alpha != 2:
-        raise NotImplementedError(f"closed-form {variable} density is available at alpha = 2 only")
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
+    _check_exact(variable, alpha, tol)
     lo, hi = support_for(variable, alpha)
-
-    def density(x: float) -> float:
-        if not lo <= x <= hi:
-            return 0.0
-        n, jac = n_from_measure(x, variable, alpha, 2)
-        try:
-            return jac * pdf_n2_exact(n, tol=min(max(tol / jac, _TOL_RANGE[0]), _TOL_RANGE[1]))
-        except SingularPoint as sp:
-            # |n - n_c| = |dN/dx| |x - x_c| to leading order
-            c = float(measure_from_n(sp.location, variable, alpha, 2))
-            _, scale = n_from_measure(c, variable, alpha, 2)
-            intercept = scale * (sp.log_intercept - sp.log_slope * math.log(scale))
-            raise SingularPoint(c, scale * sp.log_slope, intercept) from None
-
-    return density
+    dens = np.zeros(x.shape)
+    error = np.zeros(x.shape)
+    inside = (lo <= x) & (x <= hi)
+    n, jac = n_from_measure(x[inside], variable, alpha, 2)
+    try:
+        p, e = _pdf_n2(n, np.broadcast_to(np.clip(tol / jac, *_TOL_RANGE), n.shape))
+    except SingularPoint as sp:
+        # |n - n_c| = |dN/dx| |x - x_c| to leading order
+        c = float(measure_from_n(sp.location, variable, alpha, 2))
+        _, scale = n_from_measure(c, variable, alpha, 2)
+        intercept = scale * (sp.log_intercept - sp.log_slope * math.log(scale))
+        raise SingularPoint(c, scale * sp.log_slope, intercept) from None
+    dens[inside] = jac * p
+    error[inside] = jac * e
+    return dens, error
 
 
 def pdf_xi(alpha: float, xi: float, tol: float = 1e-10) -> float:
     """Density of the stabilizer purity; exact evaluation needs alpha = 2."""
-    return _mapped_density("xi", alpha, tol)(xi)
+    return float(_mapped_density("xi", alpha, np.array([xi], dtype=float), tol)[0][0])
 
 
 def pdf_m(alpha: float, m: float, tol: float = 1e-10) -> float:
     """Density of the stabilizer Renyi entropy (nats); alpha = 2 only."""
-    return _mapped_density("m", alpha, tol)(m)
+    return float(_mapped_density("m", alpha, np.array([m], dtype=float), tol)[0][0])
 
 
 def pdf_coherence(c: float) -> float:
@@ -282,8 +451,7 @@ def mean_sre_exact(tol: float = 1e-8) -> float:
     bits).  Cross-checked against direct Monte Carlo and against the
     integral of m times the exact entropy density.
     """
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
+    _check_tol(tol)
 
     def f(x: float) -> float:
         u = x * x
@@ -326,8 +494,7 @@ def characteristic_function_n2(k, tol: float = 1e-10):
     A number gives a complex; an array gives a complex array of its shape,
     each entry certified on its own.
     """
-    if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
-        raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
+    _check_tol(tol)
     ks = np.asarray(k, dtype=float)
     if not np.all(np.abs(ks) <= 1e4):
         raise ValueError("characteristic function supported for |k| <= 1e4")
@@ -456,6 +623,8 @@ class PdfCurve:
     densities: np.ndarray
     support: tuple[float, float]
     singular_points: tuple[float, ...] = ()
+    # largest certified quadrature error over the tabulation, in density units
+    quadrature_error: float = 0.0
 
     def __post_init__(self):
         x = np.asarray(self.abscissas, dtype=float)
@@ -515,6 +684,10 @@ class PdfCurve:
         return total
 
 
+# grid points nearer a divergence than this fraction of the guard are dropped
+_GUARD_KEEP = 0.999
+
+
 def _refined_grid(lo: float, hi: float, singulars, num_points: int, guard: float) -> np.ndarray:
     """Uniform base grid plus log-spaced wings approaching each singularity."""
     base = np.linspace(lo, hi, num_points)
@@ -528,7 +701,7 @@ def _refined_grid(lo: float, hi: float, singulars, num_points: int, guard: float
     grid = grid[(grid >= lo) & (grid <= hi)]
     keep = np.ones(grid.size, dtype=bool)
     for c in singulars:
-        keep &= np.abs(grid - c) >= guard * 0.999
+        keep &= np.abs(grid - c) >= guard * _GUARD_KEEP
     grid = grid[keep]
     # the closed forms evaluate to 0 exactly on the support edges (empty
     # integration interval); nudge inward so the step value is tabulated
@@ -548,20 +721,26 @@ def tabulate_pdf(
     """Tabulated exact density of N, Xi or M at alpha = 2.
 
     The grid refines logarithmically into the divergence from both sides
-    down to ``guard``; the open interval around the singular abscissa is
-    left to the logarithmic model (see ``PdfCurve.integral``).  The base
-    grid has ``num_points >= 2`` points, both support edges included.
+    down to ``guard`` (above SINGULAR_GUARD / 0.999, below 0.1); the open
+    interval around the singular abscissa is left to the logarithmic model
+    (see ``PdfCurve.integral``).  The base grid has ``num_points >= 2``
+    points, both support edges included.  The whole grid is one call of the
+    N_2 engine.
     """
     v = variable.lower()
     if v not in ("n", "xi", "m"):
         raise ValueError(f"unknown variable {variable!r}")
     if num_points < 2:
         raise ValueError(f"num_points must be at least 2, got {num_points}")
-    evaluate = _mapped_density(v, alpha, tol)
+    # every kept grid point must stay outside the density's own guard
+    if not (SINGULAR_GUARD < _GUARD_KEEP * guard and guard < 0.1):
+        raise ValueError(f"guard must lie in ({SINGULAR_GUARD / _GUARD_KEEP:.6g}, 0.1), "
+                         f"got {guard!r}")
+    _check_exact(v, alpha, tol)
     lo, hi = support_for(v, alpha)
     c = float(measure_from_n(n_critical(alpha), v, alpha, 2))
     grid = _refined_grid(lo, hi, [c], num_points, guard)
-    dens = np.array([evaluate(x) for x in grid])
+    dens, error = _mapped_density(v, alpha, grid, tol)
     return PdfCurve(
         variable=v,
         alpha=float(alpha),
@@ -569,4 +748,5 @@ def tabulate_pdf(
         densities=dens,
         support=(lo, hi),
         singular_points=(c,),
+        quadrature_error=float(error.max()),
     )

@@ -310,8 +310,12 @@ def measure_from_n(n, measure: str, alpha: float, d: int):
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def n_from_measure(value: float, measure: str, alpha: float, d: int) -> tuple[float, float]:
-    """Inverse of ``measure_from_n`` for a number: (N_alpha, |dN/d value|)."""
+def n_from_measure(value, measure: str, alpha: float, d: int):
+    """Inverse of ``measure_from_n`` for a number or an array: (N_alpha, |dN/d value|).
+
+    The derivative is a number for the affine measures and has the shape
+    of ``value`` for the entropy.
+    """
     if measure == "n":
         return value, 1.0
     if measure == "xi":
@@ -319,7 +323,10 @@ def n_from_measure(value: float, measure: str, alpha: float, d: int) -> tuple[fl
     if measure == "mlin":
         return d * (1.0 - value) - 1.0, float(d)
     if measure == "m":
-        e = math.exp((1.0 - alpha) * value)
+        # exp in extended precision, rounded once to double: numpy's double
+        # exp is not always correctly rounded, and next to the divergence of
+        # the exact densities one ulp of N moves them by ~1e-11
+        e = np.exp(np.asarray((1.0 - alpha) * value, dtype=np.longdouble)).astype(float)[()]
         return d * e - 1.0, d * (alpha - 1.0) * e
     raise ValueError(f"unknown measure {measure!r}")
 

@@ -299,6 +299,13 @@ class TestFitDivergence:
         assert lo < doc["slope"] < hi
         assert doc["slope"] == pytest.approx(0.675237, rel=0.10)
 
+    @pytest.mark.parametrize("window", ["1e-12,1e-3", "0,1e-3", "1e-8,1e-3"])
+    def test_exact_guard_below_the_density_guard_exit_2(self, capsys, window):
+        # the exact curve's guard is window[0] / 10; at or below the density's
+        # own 1e-9 guard it is an input error, not a statistical one
+        assert main(["fit-divergence", "--exact", "--window", window]) == 2
+        assert "guard must lie" in capsys.readouterr().err
+
     def test_insufficient_exit_5(self):
         code = main(["fit-divergence", "--samples", "5000", "--seed", "2",
                      "--window", "1e-6,1e-5", "--bins-per-side", "4"])

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -31,7 +32,9 @@ from magicdist import (
     to_bloch,
     xi_critical,
     BlochVector,
+    haar_moments_n2,
 )
+from magicdist.exact_pdf import PdfCurve
 
 # reference densities integrated independently at 30 digits (tanh-sinh on
 # the factored radicand, interval split at the interior peak)
@@ -440,3 +443,87 @@ class TestTabulation:
         fit = fit_log_divergence(curve, 0.5, (1e-5, 1e-3))
         assert fit.slope == pytest.approx(DIVERGENCE_SLOPE_N2, rel=0.005)
         assert fit.r_squared > 0.999
+
+
+class TestDensityEngine:
+    """The vectorised Gauss-Legendre engine behind every exact N_2 density."""
+
+    def test_tabulation_equals_scalar_bitwise(self):
+        curve = tabulate_pdf("n", num_points=1500)
+        scalars = [pdf_n2_exact(float(x), tol=1e-9) for x in curve.abscissas]
+        assert np.array_equal(curve.densities, scalars)
+
+    @pytest.mark.parametrize("variable", ["xi", "m"])
+    def test_mapped_tabulation_equals_scalar_bitwise(self, variable):
+        density = {"xi": pdf_xi, "m": pdf_m}[variable]
+        curve = tabulate_pdf(variable, num_points=300, tol=1e-10)
+        scalars = [density(2.0, float(x), tol=1e-10) for x in curve.abscissas]
+        assert np.array_equal(curve.densities, scalars)
+
+    def test_curve_moments_match_haar_moments(self):
+        # exact Haar moments of N_2 for one qubit: mean 3/5, variance 16/525
+        mean, var = (float(v) for v in haar_moments_n2(1))
+        curve = tabulate_pdf("n", num_points=1500)
+
+        def moment(k):
+            weighted = dataclasses.replace(curve, densities=curve.abscissas**k * curve.densities)
+            return weighted.integral()
+
+        assert moment(1) == pytest.approx(mean, abs=1e-5)
+        assert moment(2) == pytest.approx(var + mean**2, abs=1e-5)
+
+    def test_references_without_a_priori_grading(self, monkeypatch):
+        # with every segment on the coarse start mesh, refinement alone
+        # reaches the references, and the certificate still bounds the error
+        graded = tabulate_pdf("n", num_points=200, tol=1e-6, guard=1e-8)
+        monkeypatch.setattr(exact_pdf, "_PDF_MAX_DEPTH", 0)
+        for n, ref in PDF_N2_REFS:
+            assert pdf_n2_exact(n, tol=1e-11) == pytest.approx(ref, abs=1e-10)
+        coarse = tabulate_pdf("n", num_points=200, tol=1e-6, guard=1e-8)
+        assert 1e-9 < coarse.quadrature_error <= 1e-6
+        assert np.max(np.abs(coarse.densities - graded.densities)) <= 1e-6
+
+    def test_refinement_cap_raises(self, monkeypatch):
+        assert pdf_n2_exact(0.5 + 1e-6, tol=1e-11) > 0
+        monkeypatch.setattr(exact_pdf, "_PDF_MAX_DEPTH", 0)
+        monkeypatch.setattr(exact_pdf, "_PDF_MAX_LEVEL", 2)
+        with pytest.raises(ArithmeticError, match="not certified"):
+            pdf_n2_exact(0.5 + 1e-6, tol=1e-11)
+
+    def test_near_the_guard_and_the_edges(self):
+        # 40-digit values of the unfactored integral (mpmath tanh-sinh)
+        assert pdf_n2_exact(0.5 - 1.01e-9, tol=1e-12) == pytest.approx(14.101124123262696,
+                                                                      abs=1e-12)
+        assert pdf_n2_exact(0.5 + 1.01e-9, tol=1e-12) == pytest.approx(14.101124093604855,
+                                                                      abs=1e-12)
+        assert pdf_n2_exact(1.0) == 0.0
+        assert pdf_n2_exact(float(np.nextafter(0.375, 1.0)), tol=1e-12) == pytest.approx(
+            pdf_n2_exact(0.375, tol=1e-12), abs=1e-12)
+
+    def test_tabulation_memory_is_bounded(self):
+        tracemalloc.start()
+        try:
+            tabulate_pdf("n", num_points=1500)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("variable,tol", [("n", 1e-9), ("xi", 1e-10), ("m", 1e-8)])
+    def test_quadrature_error_is_kept(self, variable, tol):
+        curve = tabulate_pdf(variable, num_points=200, tol=tol)
+        assert 0.0 <= curve.quadrature_error <= tol
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            curve.quadrature_error = 0.0
+        assert PdfCurve("n", 2.0, [0.4, 0.6], [1.0, 1.0], (1 / 3, 1.0)).quadrature_error == 0.0
+
+    @pytest.mark.parametrize("guard", [1e-9, 1e-13, 0.0, -1e-5, 0.1, float("nan")])
+    def test_guard_range_enforced(self, guard):
+        with pytest.raises(ValueError, match="guard must lie"):
+            tabulate_pdf("n", num_points=50, guard=guard)
+
+    def test_smallest_guard_tabulates(self):
+        for variable in ("n", "xi", "m"):
+            curve = tabulate_pdf(variable, num_points=50, guard=1.002e-9)
+            c = curve.singular_points[0]
+            assert np.min(np.abs(curve.abscissas - c)) < 2e-9

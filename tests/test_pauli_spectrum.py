@@ -298,6 +298,38 @@ class TestMagicReport:
             val = magic_report(pauli_spectrum_fast(mapped), 2.0).m_alpha
             assert val == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize("n", [3, 6])
+    def test_multi_qubit_clifford_invariance(self, n):
+        # local Cliffords on every site, then one CNOT, permute the Pauli
+        # strings up to phase, so N_2 is unchanged
+        d = 2**n
+        cliffords = single_qubit_cliffords()
+        pick = np.random.default_rng(40 + n)
+        states = haar_block(d, SeededRng(n, 71), 8)
+        index = np.arange(d)
+        mapped = np.empty_like(states)
+        for row, psi in enumerate(states):
+            local = np.ones((1, 1), dtype=complex)
+            for u in pick.integers(len(cliffords), size=n):
+                local = np.kron(local, cliffords[u])
+            control, target = pick.choice(n, size=2, replace=False)
+            # site k is bit n - 1 - k of the index
+            flip = ((index >> (n - 1 - control)) & 1) << (n - 1 - target)
+            mapped[row] = (local @ psi)[index ^ flip]
+        before = [magic_report(pauli_spectrum_fast(state_from_amplitudes(s)), 2.0).n_alpha
+                  for s in states]
+        after = [magic_report(pauli_spectrum_fast(state_from_amplitudes(s)), 2.0).n_alpha
+                 for s in mapped]
+        assert np.max(np.abs(np.subtract(after, before))) < 1e-12
+        batch = pauli_moment_batch(np.concatenate([states, mapped]), 2.0)
+        assert np.max(np.abs(batch[8:] - batch[:8])) < 1e-12
+        assert np.max(np.abs(batch[:8] - before)) < 1e-12
+        # a non-Clifford phase on one site does change it
+        t_gate = np.diag([1.0, np.exp(1j * np.pi / 4)])
+        t_first = np.kron(t_gate, np.eye(d // 2)) @ states[0]
+        t_value = magic_report(pauli_spectrum_fast(state_from_amplitudes(t_first)), 2.0).n_alpha
+        assert abs(t_value - before[0]) > 1e-6
+
     def test_purity_hierarchy(self):
         # Xi_{2(alpha+1)} <= Xi_{2 alpha} on random states
         for seed in range(20):
@@ -341,6 +373,14 @@ class TestMeasureMap:
         for measure in ("n", "xi", "m", "mlin"):
             arr = measure_from_n(ns, measure, 3.0, 4)
             assert np.array_equal(arr, [measure_from_n(float(n), measure, 3.0, 4) for n in ns])
+
+    def test_inverse_array_equals_number(self):
+        vs = np.linspace(0.1, 0.9, 7)
+        for measure in ("n", "xi", "m", "mlin"):
+            n_arr, jac_arr = n_from_measure(vs, measure, 3.0, 4)
+            pairs = [n_from_measure(float(v), measure, 3.0, 4) for v in vs]
+            assert np.array_equal(n_arr, [p[0] for p in pairs])
+            assert np.array_equal(np.broadcast_to(jac_arr, vs.shape), [p[1] for p in pairs])
 
     def test_unknown_measure(self):
         with pytest.raises(ValueError):

@@ -59,6 +59,9 @@ SINGLE_FILE = [
     ("fit_mc.json", ["fit-divergence", "--samples", "1000000", "--window", "2e-4,2e-2",
                      "--bootstrap", "20", "--seed", "9"]),
     ("fit_exact.json", ["fit-divergence", "--exact", "--window", "1e-5,1e-3"]),
+    ("exact_N_points1500.csv", ["exact-pdf", "--variable", "N", "--points", "1500"]),
+    # a guard below the density's own: no file, only the exit code counts
+    ("fit_exact_guard.json", ["fit-divergence", "--exact", "--window", "1e-12,1e-3"]),
     ("mean_sre_mc.json", ["mean-sre", "--mc", "100000", "--seed", "7"]),
     ("measure_h.json", ["measure", "--bloch", H_STATE]),
     ("measure_h_alpha3_bits.json", ["measure", "--bloch", H_STATE, "--alpha", "3", "--bits"]),
