@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-import warnings
 
 import numpy as np
 
@@ -144,17 +143,10 @@ def _sample_figure(args):
     one_qubit = measure in ("n", "xi", "m") and args.q == 2 and args.sites == 1
     if args.overlay_exact and not (one_qubit and args.alpha == 2):
         raise InvalidOrder("exact overlay available for q=2, n=1, alpha=2, measures N/Xi/M")
+    edges = args.bins  # the sampler picks the range
     if args.window:
         lo, hi = (float(p) for p in args.window.split(","))
         edges = np.linspace(lo, hi, args.bins + 1)
-    elif one_qubit:
-        edges = np.linspace(*exact_pdf.support_for(measure, args.alpha), args.bins + 1)
-    elif measure == "coherence":
-        edges = np.linspace(0.0, args.q**args.sites - 1.0, args.bins + 1)
-    elif measure == "observable":
-        edges = np.linspace(-1.0, 1.0, args.bins + 1)
-    else:
-        edges = args.bins  # the sampler takes the range from its first samples
     hist = montecarlo.histogram_measure(
         measure, args.alpha, args.q, args.sites, args.samples, args.seed, edges,
         threads=_default_threads(args.threads),
@@ -220,13 +212,8 @@ def cmd_fit_divergence(args) -> int:
     # geometric bins around the center keep the ln regressor well conditioned
     wings = np.geomspace(window[0] / 2, window[1] * 2, args.bins_per_side + 1)
     edges = np.unique(np.concatenate([center - wings, center + wings]))
-    with warnings.catch_warnings():
-        # most samples fall outside the window's bins by design; no news there
-        warnings.filterwarnings("ignore", message=".*outside the histogram range")
-        hist = montecarlo.histogram_measure(
-            "n", args.alpha, 2, 1, args.samples, args.seed, edges,
-            threads=_default_threads(args.threads), strict_support=False,
-        )
+    hist = montecarlo.histogram_measure("n", args.alpha, 2, 1, args.samples, args.seed, edges,
+                                        threads=_default_threads(args.threads))
     if args.scan:
         candidates = center + np.linspace(-args.scan, args.scan, 41)
         best_center, fit, _ = montecarlo.scan_divergence_center(hist, candidates, window, args.side)

@@ -51,6 +51,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import null_space
 from scipy.special import roots_legendre
 
 from .errors import InvalidOrder, InvalidSpectrum, SingularPoint
@@ -536,19 +537,8 @@ def _tangent_hessian_eigs(vec: np.ndarray, alpha: float) -> np.ndarray:
     diag = 2.0 * alpha * (2.0 * alpha - 1.0) * np.abs(vec) ** (2.0 * alpha - 2.0)
     g = 2.0 * alpha * np.sign(vec) * np.abs(vec) ** (2.0 * alpha - 1.0)
     lagr = np.diag(diag) - np.dot(g, vec) * np.eye(3)
-    # orthonormal tangent basis via Gram-Schmidt on the coordinate axes
-    basis = []
-    for e in np.eye(3):
-        t = e - np.dot(e, vec) * vec
-        for prev in basis:
-            t = t - np.dot(t, prev) * prev
-        nrm = np.linalg.norm(t)
-        if nrm > 1e-8:
-            basis.append(t / nrm)
-        if len(basis) == 2:
-            break
-    t_mat = np.array(basis)
-    return np.linalg.eigvalsh(t_mat @ lagr @ t_mat.T)
+    tangent = null_space(vec[None, :])  # orthonormal columns perpendicular to vec
+    return np.linalg.eigvalsh(tangent.T @ lagr @ tangent)
 
 
 def critical_points(alpha: float) -> list[CriticalPoint]:

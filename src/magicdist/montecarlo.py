@@ -9,11 +9,13 @@ keeps at most two per thread in flight, so memory stays bounded.  The
 other samplers only reduce its stream (concatenation, sums, integer bin
 counts), so any thread count reproduces the serial result bit for bit;
 the per-chunk part of a reduction runs in the workers.
+
+``histogram_measure`` alone sets the range of a bin count and decides
+what an out-of-range sample means (a count, or a bug on an exact support).
 """
 from __future__ import annotations
 
 import itertools
-import warnings
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -116,6 +118,19 @@ def _in_order(work, n_chunks: int, threads):
         pool.shutdown(cancel_futures=True)
 
 
+def _check_request(measure, alpha, q, n_sites, n_samples, observable):
+    """Validate a sampling request; return (measure, d, observable matrix or None)."""
+    measure = canonical_measure(measure)
+    if n_samples < 1:
+        raise ValueError("n_samples must be positive")
+    if measure in ("n", "xi", "m", "mlin") and alpha <= 1:
+        raise InvalidOrder(f"need alpha > 1, got {alpha}")
+    _check_guards(q, n_sites)
+    d = q**n_sites
+    obs = _default_observable(d, observable) if measure == "observable" else None
+    return measure, d, obs
+
+
 def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None, threads=1,
                    *, post=None):
     """Validate the request, then return a generator of measure-value chunks.
@@ -125,14 +140,7 @@ def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None,
     (measure, alpha, q, n_sites, n_samples, seed) alone.  ``post`` maps
     each chunk inside the worker, so per-chunk reductions run in parallel.
     """
-    measure = canonical_measure(measure)
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
-    if measure in ("n", "xi", "m", "mlin") and alpha <= 1:
-        raise InvalidOrder(f"need alpha > 1, got {alpha}")
-    _check_guards(q, n_sites)
-    d = q**n_sites
-    obs = _default_observable(d, observable) if measure == "observable" else None
+    measure, d, obs = _check_request(measure, alpha, q, n_sites, n_samples, observable)
 
     def work(i):
         states = haar_block(d, SeededRng(seed, i), min(CHUNK_SIZE, n_samples - i * CHUNK_SIZE))
@@ -163,8 +171,6 @@ class Histogram:
     edges: np.ndarray
     counts: np.ndarray
     total_samples: int
-    seed: int = 0
-    measure_tag: str = ""
     n_below: int = 0
     n_above: int = 0
 
@@ -190,31 +196,38 @@ class Histogram:
 
 def _bin_chunk(values: np.ndarray, edges: np.ndarray):
     """(counts, below, above, size) of one chunk; ``edges`` already checked."""
-    nbins = edges.size - 1
-    idx = np.searchsorted(edges, values, side="right") - 1
-    idx[values == edges[-1]] = nbins - 1
     below = int(np.count_nonzero(values < edges[0]))
     above = int(np.count_nonzero(values > edges[-1]))
-    in_range = idx[(idx >= 0) & (idx < nbins) & (values <= edges[-1])]
-    return np.bincount(in_range, minlength=nbins).astype(np.int64), below, above, values.size
+    return np.histogram(values, edges)[0], below, above, values.size
 
 
-def _add_bins(binned, edges, seed, measure_tag) -> Histogram:
+def _add_bins(binned, edges) -> Histogram:
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     below = above = total = 0
     for c, b, a, n in binned:
         counts += c
         below, above, total = below + b, above + a, total + n
-    return Histogram(edges, counts, total, seed, measure_tag, below, above)
+    return Histogram(edges, counts, total, below, above)
 
 
-def build_histogram(samples, edges, seed: int = 0, measure_tag: str = "") -> Histogram:
+def build_histogram(samples, edges) -> Histogram:
     """Bin a sample array or a stream of sample chunks."""
     edges = _check_edges(edges)
     if isinstance(samples, np.ndarray):
         samples = [samples]
     binned = (_bin_chunk(np.asarray(chunk, dtype=float), edges) for chunk in samples)
-    return _add_bins(binned, edges, seed, measure_tag)
+    return _add_bins(binned, edges)
+
+
+def _exact_range(measure, alpha, q, n_sites, obs):
+    """(lo, hi) holding every value of the measure, or None without a closed form."""
+    if measure == "coherence":
+        return 0.0, q**n_sites - 1.0
+    if measure == "observable":
+        return tuple(np.linalg.eigvalsh(obs)[[0, -1]])
+    if q == 2 and n_sites == 1:
+        return support_for(measure, alpha)
+    return None
 
 
 def histogram_measure(
@@ -227,57 +240,64 @@ def histogram_measure(
     edges,
     observable=None,
     threads: int = 1,
-    strict_support: bool | None = None,
 ) -> Histogram:
     """Sample and bin in one pass, optionally across a thread pool.
 
-    ``edges`` may be a bin count, as for ``numpy.histogram``: the range then
-    spans the first ``min(n_samples, 20000)`` samples, widened by 5% of
-    their span on each side.  The result is identical for every thread
-    count.  With ``strict_support`` (default: automatic for N/Xi/M on one
-    qubit when the edges span the full support) any out-of-range sample
-    raises, since the support of those measures is exact rather than
-    statistical.
+    ``edges`` may be a bin count, as for ``numpy.histogram``: the bins then
+    span the measure's exact range (one-qubit N/Xi/M/M_lin support, [0, d-1]
+    for the coherence, the observable's extreme eigenvalues), else the first
+    ``min(n_samples, 20000)`` samples widened by 5% of their span each side.
+    Samples outside the edges are counted in ``n_below``/``n_above``, but
+    raise ``SupportViolation`` when the edges cover a one-qubit N/Xi/M/M_lin
+    support, which is exact.  The result is identical for every thread count.
     """
-    measure = canonical_measure(measure)
+    measure, _, obs = _check_request(measure, alpha, q, n_sites, n_samples, observable)
+    span = _exact_range(measure, alpha, q, n_sites, obs)
+    # one-qubit N/Xi/M/M_lin values are clipped into that support
+    clipped = measure in ("n", "xi", "m", "mlin") and span is not None
     args = (measure, alpha, q, n_sites, n_samples, seed, observable, threads)
+    head = []
     if isinstance(edges, (int, np.integer)):
         if edges < 1:
             raise InvalidEdges(f"need at least one bin, got {edges}")
-        stream, head = sample_measure(*args), []
-        while sum(c.size for c in head) < min(n_samples, 20000):
-            head.append(next(stream))  # these set the range, then are binned
-        probe = np.concatenate(head)[:20000]
-        lo, hi = probe.min(), probe.max()
-        edges = np.linspace(lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo), edges + 1)
+        if span is None:
+            stream = sample_measure(*args)
+            while sum(c.size for c in head) < min(n_samples, 20000):
+                head.append(next(stream))  # these set the range, then are binned
+            probe = np.concatenate(head)[:20000]
+            lo, hi = probe.min(), probe.max()
+            span = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
+        edges = np.linspace(*span, edges + 1)
+    edges = _check_edges(edges)
+    if head:
         binned = (_bin_chunk(c, edges) for c in itertools.chain(head, stream))
     else:
-        edges = _check_edges(edges)
         # binning in the workers keeps the consuming thread off the hot path
         binned = sample_measure(*args, post=lambda values: _bin_chunk(values, edges))
-    hist = _add_bins(binned, edges, int(seed), f"{measure}_alpha{alpha:g}/q{q}/n{n_sites}")
+    hist = _add_bins(binned, edges)
 
-    if strict_support is None:
-        strict_support = measure in ("n", "xi", "m", "mlin") and q == 2 and n_sites == 1
-        if strict_support:
-            lo, hi = support_for(measure, alpha)
-            strict_support = hist.edges[0] <= lo + 1e-12 and hist.edges[-1] >= hi - 1e-12
     escaped = hist.n_below + hist.n_above
-    if escaped:
-        if strict_support:
-            raise SupportViolation(f"{escaped} samples escaped an exact support; this is a bug")
-        warnings.warn(f"{escaped} samples fell outside the histogram range")
+    if escaped and clipped and edges[0] <= span[0] + 1e-12 and edges[-1] >= span[1] - 1e-12:
+        raise SupportViolation(f"{escaped} samples escaped an exact support; this is a bug")
     return hist
 
 
 def measure_mean(measure, alpha, q, n_sites, n_samples, seed, observable=None, threads=1):
-    """(mean, standard error) of a measure, deterministically accumulated."""
-    sums = sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable, threads,
-                          post=lambda v: (float(np.sum(v)), float(np.sum(v * v)), v.size))
-    total, total_sq, count = (sum(col) for col in zip(*sums))  # in stream order
-    mean = total / count
-    var = max(total_sq / count - mean * mean, 0.0)
-    return mean, np.sqrt(var / count)
+    """(mean, standard error) of a measure: per-chunk (sum, squared deviations,
+    size) from the workers, merged in stream order by Chan's pairwise update."""
+    def moments(v):
+        s = float(np.sum(v))
+        dev = v - s / v.size
+        return s, float(np.sum(dev * dev)), v.size
+
+    total, sq_dev, count = 0.0, 0.0, 0
+    for s, m2, n in sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable,
+                                   threads, post=moments):
+        if count:
+            delta = s / n - total / count
+            m2 += delta * delta * (count * n / (count + n))
+        total, sq_dev, count = total + s, sq_dev + m2, count + n
+    return total / count, np.sqrt(sq_dev / count / count)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +379,7 @@ def bootstrap_slope_ci(
     slopes = []
     for _ in range(n_boot):
         counts = g.poisson(hist.counts.astype(float))
-        resampled = Histogram(
-            hist.edges, counts, hist.total_samples, seed=hist.seed,
-            measure_tag=hist.measure_tag,
-        )
+        resampled = Histogram(hist.edges, counts, hist.total_samples)
         try:
             slopes.append(fit_log_divergence(resampled, center, window, side).slope)
         except InsufficientData:

@@ -39,8 +39,6 @@ from .statevec import PureState, to_bloch
 
 FAST_MAX_SITES = 14
 NAIVE_MAX_SITES = 6
-PURITY_TOL = 1e-9
-
 # entries per block of the Pauli kernels' scratch (~2 MiB of complex or
 # two planes of reals): blocks that stay in cache run faster than larger ones
 _SCRATCH = 2**17

@@ -52,7 +52,6 @@ def test_criterion_02_monte_carlo_mean(capsys):
                   f"|z|={abs(mean_bits - MEAN_SRE_BITS)/se_bits:.2f}, {elapsed:.1f} s")
 
 
-@pytest.mark.filterwarnings("ignore:.*outside the histogram range.*")
 def test_criterion_03_divergence_coefficient(capsys):
     # exact curve side
     curve = md.tabulate_pdf("n", num_points=900, tol=1e-10, guard=1e-6)
@@ -63,8 +62,7 @@ def test_criterion_03_divergence_coefficient(capsys):
     n_samples = 30_000_000
     eps = np.geomspace(1e-4, 4e-2, 40)
     edges = np.unique(np.concatenate([0.5 - eps, 0.5 + eps]))
-    hist = md.histogram_measure("n", 2.0, 2, 1, n_samples, 4003, edges,
-                                strict_support=False)
+    hist = md.histogram_measure("n", 2.0, 2, 1, n_samples, 4003, edges)
     mc_fit = md.fit_log_divergence(hist, 0.5, (2e-4, 2e-2))
     lo, hi = md.bootstrap_slope_ci(hist, 0.5, (2e-4, 2e-2), n_boot=100, seed=4004)
     assert abs(mc_fit.slope - S_N2) <= 0.05 * S_N2
@@ -75,14 +73,13 @@ def test_criterion_03_divergence_coefficient(capsys):
                   f"N={n_samples:.0e}")
 
 
-@pytest.mark.filterwarnings("ignore:.*outside the histogram range.*")
 @pytest.mark.parametrize("alpha", [3.0, 4.0])
 def test_criterion_04_divergence_location(alpha, capsys):
     n_c = 2.0 ** (1.0 - alpha)
     width = 0.002
     edges = np.arange(n_c - 0.06, n_c + 0.06 + width / 2, width)
     hist = md.histogram_measure("n", alpha, 2, 1, 10_000_000, 4010 + int(alpha),
-                                edges, strict_support=False)
+                                edges)
     centers = hist.centers()
     candidates = centers[np.abs(centers - n_c) < 0.03]
     best, fit, _ = md.scan_divergence_center(hist, candidates, (width, 0.03))
@@ -134,12 +131,7 @@ def _refined_max_density(q, n_sites, n_samples, center, bins_per_side, seed):
     eps = np.append(eps, REFINEMENT_DELTA)
     edges = np.unique(np.concatenate([center - eps, center + eps]))
     with np.errstate(all="ignore"):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            h = md.histogram_measure("n", 2.0, q, n_sites, n_samples, seed, edges,
-                                     strict_support=False)
+        h = md.histogram_measure("n", 2.0, q, n_sites, n_samples, seed, edges)
     return float(h.density().max())
 
 

@@ -13,6 +13,7 @@ from magicdist import (
     InvalidObservable,
     ResourceLimit,
     SupportMismatch,
+    SupportViolation,
     build_histogram,
     bootstrap_slope_ci,
     fit_log_divergence,
@@ -200,7 +201,6 @@ class TestHistogramMeasure:
         h1 = histogram_measure("n", 2.0, 2, 1, 30_000, 12, edges, threads=1)
         h4 = histogram_measure("n", 2.0, 2, 1, 30_000, 12, edges, threads=4)
         assert np.array_equal(h1.counts, h4.counts)
-        assert h1.measure_tag == h4.measure_tag
 
     def test_exact_support_containment(self):
         edges = np.linspace(1 / 3, 1.0, 201)
@@ -208,11 +208,53 @@ class TestHistogramMeasure:
         assert h.n_below == 0 and h.n_above == 0
         assert h.counts.sum() == 200_000
 
-    def test_windowed_histogram_warns_not_raises(self):
+    def test_windowed_histogram_counts_not_raises(self):
         edges = np.linspace(0.45, 0.55, 21)
-        with pytest.warns(UserWarning):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             h = histogram_measure("n", 2.0, 2, 1, 20_000, 14, edges)
+        assert not caught
+        vals = sample_array("n", 2.0, 2, 1, 20_000, seed=14)
+        assert h.n_below == np.count_nonzero(vals < 0.45) > 0
+        assert h.n_above == np.count_nonzero(vals > 0.55) > 0
         assert h.counts.sum() + h.n_below + h.n_above == 20_000
+
+    def test_escape_from_the_support_raises_only_when_the_edges_span_it(self, monkeypatch):
+        measure_chunk = montecarlo._measure_chunk
+
+        def escaping(*args):
+            values = measure_chunk(*args)
+            values[0] = 1.0 + 1e-6  # one N_2 value past its exact maximum
+            return values
+
+        monkeypatch.setattr(montecarlo, "_measure_chunk", escaping)
+        for edges in (np.linspace(1 / 3, 1.0, 21), 20):
+            with pytest.raises(SupportViolation):
+                histogram_measure("n", 2.0, 2, 1, 5000, 22, edges)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            h = histogram_measure("n", 2.0, 2, 1, 5000, 22, np.linspace(0.45, 0.55, 21))
+        assert not caught
+        vals = sample_array("n", 2.0, 2, 1, 5000, seed=22)
+        assert vals.max() == 1.0 + 1e-6
+        assert h.n_below == np.count_nonzero(vals < 0.45)
+        assert h.n_above == np.count_nonzero(vals > 0.55)
+        assert h.counts.sum() + h.n_below + h.n_above == 5000
+
+    @pytest.mark.parametrize("measure,alpha,q,n_sites,observable,lo,hi", [
+        ("mlin", 2.0, 2, 1, None, 0.0, 1 / 3),
+        ("mlin", 1.5, 2, 1, None, 0.0, (1 - 1 / np.sqrt(3)) / 2),
+        ("coherence", 2.0, 2, 1, None, 0.0, 1.0),
+        ("coherence", 2.0, 2, 2, None, 0.0, 3.0),
+        ("coherence", 2.0, 3, 1, None, 0.0, 2.0),
+        ("observable", 2.0, 2, 1, None, -1.0, 1.0),
+        ("observable", 2.0, 2, 1, [[1, 2j], [-2j, -2]], -3.0, 2.0),
+    ])
+    def test_bin_count_spans_the_exact_range(self, measure, alpha, q, n_sites, observable,
+                                             lo, hi):
+        h = histogram_measure(measure, alpha, q, n_sites, 10_000, 23, 10, observable)
+        np.testing.assert_allclose(h.edges, np.linspace(lo, hi, 11), rtol=0, atol=1e-15)
+        assert h.counts.sum() == 10_000
 
     def test_peak_bin_near_nc(self):
         edges = np.linspace(1 / 3, 1.0, 501)
@@ -226,6 +268,13 @@ class TestChunkEngine:
         serial = measure_mean("m", 2.0, 2, 1, 5 * CHUNK_SIZE + 11, seed=16, threads=1)
         threaded = measure_mean("m", 2.0, 2, 1, 5 * CHUNK_SIZE + 11, seed=16, threads=3)
         assert serial == threaded
+
+    def test_mean_and_error_match_the_whole_sample(self):
+        n_samples = 5 * CHUNK_SIZE + 11
+        vals = sample_array("m", 2.0, 2, 1, n_samples, seed=16)
+        mean, se = measure_mean("m", 2.0, 2, 1, n_samples, seed=16)
+        assert mean == pytest.approx(vals.mean(), rel=1e-14)
+        assert se == pytest.approx(vals.std() / np.sqrt(n_samples), rel=1e-12)
 
     def test_bounded_in_flight_window(self, monkeypatch):
         started = []
@@ -244,16 +293,14 @@ class TestChunkEngine:
         stream.close()
         assert len(started) <= 4
 
-    @pytest.mark.parametrize("measure,q,n_sites", [("n", 2, 2), ("mlin", 2, 1), ("n", 3, 1)])
+    @pytest.mark.parametrize("measure,q,n_sites", [("n", 2, 2), ("xi", 2, 2), ("n", 3, 1)])
     def test_bin_count_probes_the_stream_prefix(self, measure, q, n_sites):
         n_samples = 30_000  # the 20000-sample probe ends inside the fifth chunk
         probe = sample_array(measure, 2.0, q, n_sites, 20_000, seed=18)
         span = probe.max() - probe.min()
         edges = np.linspace(probe.min() - 0.05 * span, probe.max() + 0.05 * span, 41)
         ref = build_histogram(sample_array(measure, 2.0, q, n_sites, n_samples, seed=18), edges)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # samples beyond the probe may leave its range
-            h = histogram_measure(measure, 2.0, q, n_sites, n_samples, 18, 40, threads=2)
+        h = histogram_measure(measure, 2.0, q, n_sites, n_samples, 18, 40, threads=2)
         assert np.array_equal(h.edges, edges)
         assert np.array_equal(h.counts, ref.counts)
         assert (h.n_below, h.n_above, h.total_samples) == (ref.n_below, ref.n_above, n_samples)
