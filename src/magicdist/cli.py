@@ -4,8 +4,9 @@ Every command that consumes randomness takes a --seed and is
 bit-reproducible: identical CSV/JSON bytes across runs and thread counts.
 CSV uses RFC-4180 CRLF records with 17 significant digits; metadata rides
 in leading '#' comment lines.  JSON payloads carry the schema marker
-"magicdist/1".  Exit codes: 0 ok, 2 bad input, 3 unsupported parameter,
-4 resource guard, 5 statistical insufficiency.
+"magicdist/1".  Exit codes: 0 ok, 1 internal error (a sample escaped an
+exact support), 2 bad input, 3 unsupported parameter, 4 resource guard,
+5 statistical insufficiency.
 """
 from __future__ import annotations
 
@@ -19,12 +20,19 @@ import sys
 import numpy as np
 
 from . import exact_pdf, montecarlo, svgplot
-from .errors import InsufficientData, InvalidOrder, ResourceLimit, SingularPoint
+from .errors import (
+    InsufficientData,
+    InvalidOrder,
+    ResourceLimit,
+    SingularPoint,
+    SupportViolation,
+)
 from .pauli_spectrum import magic_report, pauli_spectrum_fast, weyl_spectrum
 from .statevec import BlochVector, SeededRng, from_bloch, haar_sample, state_from_amplitudes
 
 SCHEMA = "magicdist/1"
 
+EXIT_INTERNAL = 1
 EXIT_INPUT = 2
 EXIT_UNSUPPORTED = 3
 EXIT_RESOURCE = 4
@@ -413,6 +421,9 @@ def main(argv=None) -> int:
     except (InsufficientData, SingularPoint) as exc:
         print(f"statistical insufficiency: {exc}", file=sys.stderr)
         return EXIT_STATISTICS
+    except SupportViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:  # every input error of the package subclasses it
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -75,15 +75,23 @@ def _measure_chunk(states, measure, alpha, q, n_sites, observable):
         vals = np.einsum("bi,ij,bj->b", states.conj(), observable, states)
         return vals.real
     if q == 2 and n_sites == 1:
-        a0, a1 = states[:, 0], states[:, 1]
-        z = np.conj(a0) * a1
-        comp_sq = np.empty((states.shape[0], 3))
-        comp_sq[:, 0] = (2 * z.real) ** 2
-        comp_sq[:, 1] = (2 * z.imag) ** 2
-        comp_sq[:, 2] = (a0.real**2 + a0.imag**2 - a1.real**2 - a1.imag**2) ** 2
+        # Bloch components (2 Re z, 2 Im z, |a0|^2 - |a1|^2), z = conj(a0) a1,
+        # as the rows of one buffer, squared and normalised in place; every
+        # sum keeps its order, so the bits are those of the row-wise form
+        z = np.conj(states[:, 0]) * states[:, 1]
+        comp_sq = np.empty((3, states.shape[0]))
+        np.multiply(z.real, 2, out=comp_sq[0])
+        np.multiply(z.imag, 2, out=comp_sq[1])
+        parts = np.square(states.view(np.float64))  # columns re a0, im a0, re a1, im a1
+        np.add(parts[:, 0], parts[:, 1], out=comp_sq[2])
+        comp_sq[2] -= parts[:, 2]
+        comp_sq[2] -= parts[:, 3]
+        np.square(comp_sq, out=comp_sq)
         # exact normalization of the Bloch vector keeps N inside its support
-        comp_sq /= np.sum(comp_sq, axis=1, keepdims=True)
-        n_vals = _power_sum(comp_sq, alpha, axis=1)
+        total = comp_sq[0] + comp_sq[1]
+        total += comp_sq[2]
+        comp_sq /= total
+        n_vals = _power_sum(comp_sq, alpha, axis=0)
         np.clip(n_vals, *support_for("n", alpha), out=n_vals)
     elif q == 2:
         n_vals = pauli_moment_batch(states, alpha)

@@ -118,16 +118,27 @@ def haar_block(d: int, rng, count: int) -> np.ndarray:
 
     Row i is assembled from entries [2di, 2d(i+1)) of the stream, so the
     first row coincides with ``haar_sample`` on the same stream.
+
+    The bits are those of ``x / np.linalg.norm(x, axis=1, keepdims=True)``
+    on ``x = raw[:, :d] + 1j * raw[:, d:]``, which the seeded outputs are
+    pinned to.  Two steps keep them: the squared norm stays the complex
+    product ``conj(x) * x``, whose real part numpy forms as
+    ``fma(re, re, im * im)`` (``re * re + im * im`` differs in the last
+    bit), and the scale multiplies the float view by ``1.0 / norms``,
+    which is what numpy's complex-by-real division (Smith's method) does
+    (a real ``/ norms`` rounds differently).
     """
     if d < 2:
         raise InvalidDimension(f"need d >= 2, got {d}")
     g = _as_generator(rng)
     raw = g.standard_normal((count, 2 * d))
-    states = raw[:, :d] + 1j * raw[:, d:]
-    norms = np.linalg.norm(states, axis=1, keepdims=True)
+    states = np.empty((count, d), dtype=np.complex128)
+    states.real[...] = raw[:, :d]
+    states.imag[...] = raw[:, d:]
+    norms = np.sqrt(np.add.reduce((states.conj() * states).real, axis=1, keepdims=True))
     # zero norm has probability zero; guard against pathological streams
     np.maximum(norms, 1e-300, out=norms)
-    states /= norms
+    states.view(np.float64)[...] *= np.divide(1.0, norms, out=norms)
     return states
 
 

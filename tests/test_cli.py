@@ -197,6 +197,21 @@ class TestSample:
         assert main(["sample", "--measure", "n", "--q", "2", "--sites", "12",
                      "--samples", "10"]) == 4
 
+    def test_support_violation_exit_1(self, capsys, monkeypatch):
+        measure_chunk = montecarlo._measure_chunk
+
+        def escaping(*args):
+            values = measure_chunk(*args)
+            values[0] = 1.0 + 1e-6  # one N_2 value past its exact maximum
+            return values
+
+        monkeypatch.setattr(montecarlo, "_measure_chunk", escaping)
+        assert main(["sample", "--samples", "1000", "--bins", "4"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("internal error:")
+        assert len(captured.err.splitlines()) == 1
+
     def test_qudit_sample(self, capsys):
         code, out = run_cli(
             capsys, "sample", "--measure", "n", "--q", "3", "--samples", "5000",

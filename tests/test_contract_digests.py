@@ -1,0 +1,51 @@
+import importlib.util
+import warnings
+from pathlib import Path
+
+from magicdist import cli
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "contract_digests.py"
+
+
+def load_tool():
+    spec = importlib.util.spec_from_file_location("contract_digests", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_a_warning_inside_a_command_is_reported(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+    warning_file = tool.SINGLE_FILE[3][0]
+
+    def fake_main(argv):
+        if argv[0] == "reproduce-figures":
+            outdir = Path(argv[argv.index("--outdir") + 1])
+            outdir.mkdir()
+            (outdir / "manifest.json").write_text("{}")
+        elif Path(argv[-1]).name == warning_file:
+            warnings.warn("overflow in the kernel", RuntimeWarning)
+        return 0
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    assert tool.main([str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2 + len(tool.SINGLE_FILE)
+    assert "warning" not in captured.out
+    assert captured.err.splitlines() == [
+        f"warning in {warning_file}: RuntimeWarning: overflow in the kernel"]
+
+
+def test_no_warning_exits_0(tmp_path, monkeypatch, capsys):
+    tool = load_tool()
+
+    def fake_main(argv):
+        if argv[0] == "reproduce-figures":
+            Path(argv[argv.index("--outdir") + 1]).mkdir()
+        return 0
+
+    monkeypatch.setattr(cli, "main", fake_main)
+    assert tool.main([str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert len(captured.out.splitlines()) == len(tool.SINGLE_FILE)

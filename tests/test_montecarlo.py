@@ -26,8 +26,9 @@ from magicdist import (
     tabulate_pdf,
     SeededRng,
 )
-from magicdist import montecarlo
+from magicdist import haar_block, montecarlo
 from magicdist.montecarlo import CHUNK_SIZE, canonical_measure
+from magicdist.pauli_spectrum import measure_from_n
 
 
 class TestCanonicalMeasure:
@@ -275,6 +276,57 @@ class TestChunkEngine:
         mean, se = measure_mean("m", 2.0, 2, 1, n_samples, seed=16)
         assert mean == pytest.approx(vals.mean(), rel=1e-14)
         assert se == pytest.approx(vals.std() / np.sqrt(n_samples), rel=1e-12)
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("measure", ["n", "xi", "m", "mlin"])
+    def test_one_qubit_kernel_is_pinned_bit_for_bit(self, measure, alpha):
+        # the seeded outputs are pinned to this row-wise expression, last bits included
+        for stream in range(3):
+            states = haar_block(2, SeededRng(23, stream), CHUNK_SIZE)
+            a0, a1 = states[:, 0], states[:, 1]
+            z = np.conj(a0) * a1
+            comp_sq = np.empty((CHUNK_SIZE, 3))
+            comp_sq[:, 0] = (2 * z.real) ** 2
+            comp_sq[:, 1] = (2 * z.imag) ** 2
+            comp_sq[:, 2] = (a0.real**2 + a0.imag**2 - a1.real**2 - a1.imag**2) ** 2
+            comp_sq /= np.sum(comp_sq, axis=1, keepdims=True)
+            powered = comp_sq**alpha
+            if alpha == round(alpha):  # integer orders are repeated products
+                powered = comp_sq
+                for _ in range(int(alpha) - 1):
+                    powered = powered * comp_sq
+            n_vals = np.sum(powered, axis=1)
+            np.clip(n_vals, 3.0 ** (1 - alpha), 1.0, out=n_vals)
+            expected = measure_from_n(n_vals, measure, alpha, 2)
+            got = montecarlo._measure_chunk(states, measure, alpha, 2, 1, None)
+            assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+    def test_one_qubit_kernel_clips_rounding_into_the_support(self, alpha):
+        # at the eight T-type states N_alpha is its minimum 3^(1 - alpha); unclipped,
+        # rounding puts some of them a few ulp below it
+        from magicdist import BlochVector, from_bloch
+
+        signs = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
+        states = np.array([from_bloch(BlochVector(*(s / np.sqrt(3.0)))).amplitudes
+                           for s in signs])
+        values = montecarlo._measure_chunk(states, "n", alpha, 2, 1, None)
+        lo = 3.0 ** (1 - alpha)
+        assert np.all(values >= lo)
+        assert values == pytest.approx(lo, abs=1e-15)
+
+    def test_one_draw_per_chunk(self, monkeypatch):
+        calls = []
+        draw = montecarlo.haar_block
+
+        def counting(d, rng, count):
+            calls.append((d, rng, count))
+            return draw(d, rng, count)
+
+        monkeypatch.setattr(montecarlo, "haar_block", counting)
+        sample_array("n", 2.0, 2, 1, 2 * CHUNK_SIZE + 5, seed=24)
+        assert calls == [(2, SeededRng(24, i), count)
+                         for i, count in enumerate([CHUNK_SIZE, CHUNK_SIZE, 5])]
 
     def test_bounded_in_flight_window(self, monkeypatch):
         started = []

@@ -81,6 +81,30 @@ class TestHaarSample:
         s = haar_sample(8, SeededRng(0))
         assert (s.local_dim, s.num_sites) == (2, 3)
 
+    @pytest.mark.parametrize("d, count", [(2, 4096), (3, 4096), (4, 4096), (7, 1000),
+                                          (8, 1000), (64, 300), (1024, 20)])
+    def test_block_is_pinned_bit_for_bit(self, d, count):
+        # the seeded outputs are pinned to this expression, last bits included
+        for stream in range(3):
+            raw = SeededRng(17, stream).generator().standard_normal((count, 2 * d))
+            states = raw[:, :d] + 1j * raw[:, d:]
+            norms = np.linalg.norm(states, axis=1, keepdims=True)
+            np.maximum(norms, 1e-300, out=norms)
+            states /= norms
+            got = haar_block(d, SeededRng(17, stream), count)
+            assert got.dtype == np.complex128 and got.shape == (count, d)
+            assert got.tobytes() == states.tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_zero_stream_gives_zero_rows(self, d):
+        class ZeroStream(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                return np.zeros(size, dtype=dtype)
+
+        states = haar_block(d, ZeroStream(np.random.PCG64(0)), 5)
+        assert states.shape == (5, d)
+        assert np.all(states == 0)
+
     def test_block_first_row_matches_single(self):
         rng = SeededRng(42, 3)
         blk = haar_block(4, rng, 5)

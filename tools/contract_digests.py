@@ -8,6 +8,10 @@ each (point PYTHONPATH at the other checkout's ``src``).  Each line reads
 ``<sha256> <exit code> <file>``; a command that writes no file prints
 ``-`` as its digest.  ``reproduce-figures`` contributes one line per file
 of its output directory, manifest included.
+
+Warnings do not reach the listing: each one goes to standard error as
+``warning in <file>: <category>: <message>`` (the output directory for
+``reproduce-figures``), and the script then exits 1.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import sys
 import warnings
 from pathlib import Path
 
-from magicdist.cli import main
+from magicdist import cli
 
 H_STATE = "0.7071067811865475,0.7071067811865475,0"
 
@@ -77,35 +81,51 @@ SINGLE_FILE = [
 ]
 
 
-def _run(argv) -> int:
+def _run(argv, name: str, warned: list) -> int:
+    """Exit code of one command; append (name, text) to ``warned`` per warning."""
     # only the files are compared; keep the console to the digest lines
-    with warnings.catch_warnings(), contextlib.redirect_stderr(io.StringIO()):
-        warnings.simplefilter("ignore")
-        return main(argv)
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(io.StringIO()):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    warned.extend((name, f"{w.category.__name__}: {w.message}") for w in caught)
+    return code
 
 
 def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest() if path.exists() else "-"
 
 
-def contract_digests(outdir: Path):
-    """Yield (digest, exit code, file name relative to ``outdir``)."""
+def contract_digests(outdir: Path, warned: list):
+    """Yield (digest, exit code, file name relative to ``outdir``).
+
+    Every warning a command raises is appended to ``warned`` as
+    (file or directory name, text).
+    """
     outdir.mkdir(parents=True, exist_ok=True)
     for threads in ("1", "2"):
         figdir = outdir / f"figures_t{threads}"
         code = _run(["reproduce-figures", "--scale", "0.01", "--seed", "2024",
-                     "--threads", threads, "--outdir", str(figdir)])
+                     "--threads", threads, "--outdir", str(figdir)], figdir.name, warned)
         for path in sorted(figdir.iterdir()):
             yield _digest(path), code, f"{figdir.name}/{path.name}"
     for name, argv in SINGLE_FILE:
         path = outdir / name
         path.unlink(missing_ok=True)
-        code = _run([*argv, "-o", str(path)])
+        code = _run([*argv, "-o", str(path)], name, warned)
         yield _digest(path), code, name
 
 
-if __name__ == "__main__":
-    if len(sys.argv) != 2:
+def main(argv) -> int:
+    if len(argv) != 1:
         sys.exit(__doc__)
-    for digest, code, name in contract_digests(Path(sys.argv[1])):
+    warned = []
+    for digest, code, name in contract_digests(Path(argv[0]), warned):
         print(f"{digest} {code} {name}", flush=True)
+    for name, text in warned:
+        print(f"warning in {name}: {text}", file=sys.stderr)
+    return 1 if warned else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
