@@ -1,16 +1,20 @@
 """Command-line front end.
 
 Every command that consumes randomness takes a --seed and is
-bit-reproducible: identical CSV/JSON bytes across runs and thread counts.
-CSV uses RFC-4180 CRLF records with 17 significant digits; metadata rides
-in leading '#' comment lines.  JSON payloads carry the schema marker
-"magicdist/1".  Exit codes: 0 ok, 1 internal error (a sample escaped an
-exact support), 2 bad input, 3 unsupported parameter, 4 resource guard,
-5 statistical insufficiency.
+bit-reproducible: identical CSV/JSON bytes across runs and for every
+--threads (default 1).  CSV uses RFC-4180 CRLF records with 17 significant
+digits; metadata rides in leading '#' comment lines.  JSON payloads carry
+the schema marker "magicdist/1".
+
+Every request is checked in full before its first state is drawn.  Exit
+codes: 0 ok, 1 internal error (a sample escaped an exact support), 2 bad
+input, 3 unsupported parameter (alpha not finite and > 1, or no closed
+form), 4 resource guard, 5 statistical insufficiency.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -27,8 +31,10 @@ from .errors import (
     SingularPoint,
     SupportViolation,
 )
-from .pauli_spectrum import magic_report, pauli_spectrum_fast, weyl_spectrum
-from .statevec import BlochVector, SeededRng, from_bloch, haar_sample, state_from_amplitudes
+from .pauli_spectrum import check_order, check_spectrum_size, magic_report
+from .pauli_spectrum import pauli_spectrum_fast, weyl_spectrum
+from .statevec import BlochVector, SeededRng, from_bloch, haar_sample, register_shape
+from .statevec import state_from_amplitudes
 
 SCHEMA = "magicdist/1"
 
@@ -60,33 +66,37 @@ def _emit(data: bytes, path: str | None):
 
 
 def _json_out(payload: dict, path: str | None):
-    doc = {"schema": SCHEMA}
-    doc.update(payload)
-    _emit((json.dumps(doc, indent=2) + "\n").encode(), path)
+    _emit((json.dumps({"schema": SCHEMA, **payload}, indent=2) + "\n").encode(), path)
 
 
-def _default_threads(value):
-    if value is not None:
-        return value
-    env = os.environ.get("MAGICDIST_THREADS")
-    return int(env) if env else 1
+def _floats(text: str, flag: str, count: int | None = None) -> list[float]:
+    """The comma-separated finite numbers of a flag, exactly ``count`` of them if given."""
+    parts = [float(p) for p in text.split(",")]
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"{flag} needs finite numbers, got {text!r}")
+    if count is not None and len(parts) != count:
+        raise ValueError(f"{flag} needs {count} comma-separated numbers, got {text!r}")
+    return parts
 
 
 def _parse_state(args):
     if args.bloch:
-        parts = [float(p) for p in args.bloch.split(",")]
-        if len(parts) != 3:
-            raise ValueError("--bloch needs three comma-separated components")
-        return from_bloch(BlochVector(*parts))
+        return from_bloch(BlochVector(*_floats(args.bloch, "--bloch", 3)))
     if args.amplitudes:
-        parts = [float(p) for p in args.amplitudes.split(",")]
+        parts = _floats(args.amplitudes, "--amplitudes")
         if len(parts) % 2:
             raise ValueError("--amplitudes needs re,im pairs")
         amps = np.array(parts[0::2]) + 1j * np.array(parts[1::2])
-        amps = amps / np.linalg.norm(amps)
-        return state_from_amplitudes(amps, local_dim=args.local_dim)
+        norm = np.linalg.norm(amps)
+        if norm == 0:
+            raise ValueError("--amplitudes must not all be zero")
+        return state_from_amplitudes(amps / norm, local_dim=args.local_dim)
     if args.haar:
-        return haar_sample(args.dim, SeededRng(args.seed), local_dim=args.local_dim or None)
+        # the whole request is checked before the draw
+        local_dim, n_sites = register_shape(args.dim, args.local_dim or None)
+        check_spectrum_size(local_dim, n_sites)
+        check_order(args.alpha)
+        return haar_sample(args.dim, SeededRng(args.seed), local_dim=local_dim)
     raise ValueError("state required: --bloch, --amplitudes or --haar")
 
 
@@ -141,25 +151,22 @@ def cmd_exact_pdf(args) -> int:
     return 0
 
 
-def _measure_tag(args) -> str:
-    return f"{args.measure}/alpha={args.alpha:g}/q={args.q}/n={args.sites}"
-
-
 def _sample_figure(args):
     """Sample one histogram; return its CSV bytes and a function drawing its SVG."""
     measure = montecarlo.canonical_measure(args.measure)
-    one_qubit = measure in ("n", "xi", "m") and args.q == 2 and args.sites == 1
-    if args.overlay_exact and not (one_qubit and args.alpha == 2):
-        raise InvalidOrder("exact overlay available for q=2, n=1, alpha=2, measures N/Xi/M")
+    overlay = None
+    if args.overlay_exact:
+        if not (measure in ("n", "xi", "m") and args.q == 2 and args.sites == 1):
+            raise InvalidOrder("exact overlay available for q=2, n=1, measures N/Xi/M")
+        # tabulated first: its own check refuses an order without a closed form
+        overlay = exact_pdf.tabulate_pdf(measure, alpha=args.alpha)
     edges = args.bins  # the sampler picks the range
     if args.window:
-        lo, hi = (float(p) for p in args.window.split(","))
-        edges = np.linspace(lo, hi, args.bins + 1)
+        edges = np.linspace(*_floats(args.window, "--window", 2), args.bins + 1)
     hist = montecarlo.histogram_measure(
         measure, args.alpha, args.q, args.sites, args.samples, args.seed, edges,
-        threads=_default_threads(args.threads),
+        threads=args.threads,
     )
-    overlay = exact_pdf.tabulate_pdf(measure, alpha=2.0) if args.overlay_exact else None
 
     dens = hist.density()
     comments = [
@@ -180,7 +187,7 @@ def _sample_figure(args):
             marks = overlay.singular_points
         return svgplot.plot_svg(
             series,
-            title=_measure_tag(args),
+            title=f"{args.measure}/alpha={args.alpha:g}/q={args.q}/n={args.sites}",
             xlabel=measure,
             marks=marks,
             log_y=args.log_y,
@@ -197,31 +204,20 @@ def cmd_sample(args) -> int:
 
 
 def cmd_fit_divergence(args) -> int:
-    window = tuple(float(p) for p in args.window.split(","))
+    window = tuple(_floats(args.window, "--window", 2))
     center = args.center if args.center is not None else exact_pdf.n_critical(args.alpha)
     if args.exact:
-        if args.alpha != 2:
-            raise InvalidOrder("exact-curve mode needs alpha = 2")
-        curve = exact_pdf.tabulate_pdf("n", alpha=2.0, num_points=800, guard=window[0] / 10)
+        curve = exact_pdf.tabulate_pdf("n", alpha=args.alpha, num_points=800,
+                                       guard=window[0] / 10)
         fit = montecarlo.fit_log_divergence(curve, center, window, side=args.side)
-        payload = {
-            "mode": "exact",
-            "center": fit.center,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "window": list(fit.window),
-            "side": fit.side,
-            "r_squared": fit.r_squared,
-            "n_points": fit.n_points,
-        }
-        _json_out(payload, args.output)
+        _json_out({"mode": "exact", **dataclasses.asdict(fit)}, args.output)
         return 0
-
+    montecarlo.check_fit_window(window)  # before any state is drawn
     # geometric bins around the center keep the ln regressor well conditioned
     wings = np.geomspace(window[0] / 2, window[1] * 2, args.bins_per_side + 1)
     edges = np.unique(np.concatenate([center - wings, center + wings]))
     hist = montecarlo.histogram_measure("n", args.alpha, 2, 1, args.samples, args.seed, edges,
-                                        threads=_default_threads(args.threads))
+                                        threads=args.threads)
     if args.scan:
         candidates = center + np.linspace(-args.scan, args.scan, 41)
         best_center, fit, _ = montecarlo.scan_divergence_center(hist, candidates, window, args.side)
@@ -230,20 +226,8 @@ def cmd_fit_divergence(args) -> int:
         fit = montecarlo.fit_log_divergence(hist, center, window, side=args.side)
     ci = montecarlo.bootstrap_slope_ci(hist, best_center, window, side=args.side,
                                        n_boot=args.bootstrap, seed=args.seed + 1)
-    payload = {
-        "mode": "monte-carlo",
-        "center": fit.center,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "window": list(fit.window),
-        "side": fit.side,
-        "r_squared": fit.r_squared,
-        "n_points": fit.n_points,
-        "n_samples": args.samples,
-        "seed": args.seed,
-        "bootstrap_ci_95": list(ci),
-    }
-    _json_out(payload, args.output)
+    _json_out({"mode": "monte-carlo", **dataclasses.asdict(fit), "n_samples": args.samples,
+               "seed": args.seed, "bootstrap_ci_95": list(ci)}, args.output)
     return 0
 
 
@@ -272,7 +256,7 @@ def cmd_mean_sre(args) -> int:
     payload = {"mean_m2_nats": value, "mean_m2_bits": value / ln2, "tol": args.tol}
     if args.mc:
         mean, se = montecarlo.measure_mean("m", 2.0, 2, 1, args.mc, args.seed,
-                                           threads=_default_threads(args.threads))
+                                           threads=args.threads)
         payload.update({
             "mc_mean_nats": mean, "mc_standard_error_nats": se,
             "mc_mean_bits": mean / ln2, "mc_standard_error_bits": se / ln2,
@@ -282,34 +266,29 @@ def cmd_mean_sre(args) -> int:
     return 0
 
 
+# name: (measure, q, sites, samples at --scale 1, bins, exact overlay)
 _FIGURES = {
-    "fig1_m2_density": dict(measure="m", q=2, sites=1, samples=10_000_000, bins=400,
-                            overlay=True),
-    "fig2_n2_density": dict(measure="n", q=2, sites=1, samples=10_000_000, bins=400,
-                            overlay=True),
-    "fig4_two_qubits": dict(measure="n", q=2, sites=2, samples=200_000, bins=200,
-                            overlay=False),
-    "fig4_six_qubits": dict(measure="n", q=2, sites=6, samples=200_000, bins=200,
-                            overlay=False),
-    "fig5_qutrit": dict(measure="n", q=3, sites=1, samples=400_000, bins=200,
-                        overlay=False),
-    "fig5_ququart": dict(measure="n", q=4, sites=1, samples=400_000, bins=200,
-                         overlay=False),
+    "fig1_m2_density": ("m", 2, 1, 10_000_000, 400, True),
+    "fig2_n2_density": ("n", 2, 1, 10_000_000, 400, True),
+    "fig4_two_qubits": ("n", 2, 2, 200_000, 200, False),
+    "fig4_six_qubits": ("n", 2, 6, 200_000, 200, False),
+    "fig5_qutrit": ("n", 3, 1, 400_000, 200, False),
+    "fig5_ququart": ("n", 4, 1, 400_000, 200, False),
 }
 
 
 def cmd_reproduce_figures(args) -> int:
+    if not 0.0 < args.scale < math.inf:
+        raise ValueError(f"--scale must be positive and finite, got {args.scale!r}")
     os.makedirs(args.outdir, exist_ok=True)
     manifest = {"seed": args.seed, "scale": args.scale, "outputs": {}}
-    threads = _default_threads(args.threads)
-    for name, cfg in _FIGURES.items():
+    for name, (measure, q, sites, samples, bins, overlay) in _FIGURES.items():
         if args.only and name not in args.only:
             continue
-        n_samples = max(int(cfg["samples"] * args.scale), 1000)
+        n_samples = max(int(samples * args.scale), 1000)
         ns = argparse.Namespace(
-            measure=cfg["measure"], alpha=2.0, q=cfg["q"], sites=cfg["sites"],
-            samples=n_samples, seed=args.seed, bins=cfg["bins"], window=None,
-            overlay_exact=cfg["overlay"], threads=threads, log_y=False,
+            measure=measure, alpha=2.0, q=q, sites=sites, samples=n_samples, seed=args.seed,
+            bins=bins, window=None, overlay_exact=overlay, threads=args.threads, log_y=False,
         )
         csv_payload, svg = _sample_figure(ns)
         _emit(csv_payload, os.path.join(args.outdir, f"{name}.csv"))
@@ -330,12 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
                                 description="Haar distributions of stabilizer entropies")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, seeded=True):
+    def add_common(sp, seeded=True, alpha=True):
         sp.add_argument("--output", "-o", default=None, help="file path, default stdout")
+        if alpha:
+            sp.add_argument("--alpha", type=float, default=2.0, help="Renyi order")
         if seeded:
             sp.add_argument("--seed", type=int, default=2024)
-            sp.add_argument("--threads", type=int, default=None,
-                            help="worker cap, default $MAGICDIST_THREADS or 1")
+            sp.add_argument("--threads", type=int, default=1,
+                            help=f"worker threads, 1 to {montecarlo.MAX_THREADS}")
 
     sp = sub.add_parser("measure", help="magic measures of one state")
     sp.add_argument("--bloch", help="n1,n2,n3")
@@ -343,14 +324,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--haar", action="store_true")
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--local-dim", type=int, default=2)
-    sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--bits", action="store_true", help="report the entropy in bits")
     add_common(sp)
     sp.set_defaults(func=cmd_measure)
 
     sp = sub.add_parser("exact-pdf", help="tabulate a closed-form density")
     sp.add_argument("--variable", choices=["N", "Xi", "M", "n", "xi", "m"], required=True)
-    sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--points", type=int, default=600)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--format", choices=["csv", "svg"], default="csv")
@@ -361,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("sample", help="histogram of a sampled measure")
     sp.add_argument("--measure", default="n",
                     help="n, xi, m, mlin, coherence or observable")
-    sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--q", type=int, default=2)
     sp.add_argument("--sites", type=int, default=1)
     sp.add_argument("--samples", type=int, default=1_000_000)
@@ -374,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sample)
 
     sp = sub.add_parser("fit-divergence", help="logarithmic divergence fit")
-    sp.add_argument("--alpha", type=float, default=2.0)
     sp.add_argument("--exact", action="store_true", help="fit the exact curve")
     sp.add_argument("--center", type=float, default=None)
     sp.add_argument("--window", default="1e-5,1e-3", help="eps_min,eps_max")
@@ -388,22 +365,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_fit_divergence)
 
     sp = sub.add_parser("critical-points", help="the 26 critical Bloch vectors")
-    sp.add_argument("--alpha", type=float, default=2.0)
     add_common(sp, seeded=False)
     sp.set_defaults(func=cmd_critical_points)
 
     sp = sub.add_parser("mean-sre", help="exact Haar mean of the order-2 entropy")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--mc", type=int, default=0, help="cross-check sample count")
-    add_common(sp)
+    add_common(sp, alpha=False)
     sp.set_defaults(func=cmd_mean_sre)
 
     sp = sub.add_parser("reproduce-figures", help="standard density pipelines")
     sp.add_argument("--outdir", required=True)
     sp.add_argument("--scale", type=float, default=1.0,
                     help="multiply the standard sample counts")
-    sp.add_argument("--only", nargs="*", help="subset of figure names")
-    add_common(sp)
+    sp.add_argument("--only", nargs="*", choices=list(_FIGURES),
+                    help="subset of figure names")
+    add_common(sp, alpha=False)
     sp.set_defaults(func=cmd_reproduce_figures)
     return p
 

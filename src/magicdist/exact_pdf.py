@@ -54,9 +54,9 @@ from scipy.integrate import quad
 from scipy.linalg import null_space
 from scipy.special import roots_legendre
 
-from .errors import InvalidOrder, InvalidSpectrum, SingularPoint
+from .errors import InvalidSpectrum, SingularPoint
 from .bessel import j0
-from .pauli_spectrum import measure_from_n, n_from_measure
+from .pauli_spectrum import check_order, measure_from_n, n_from_measure
 from .statevec import BlochVector
 
 DIVERGENCE_SLOPE_N2 = 3.0 / (math.sqrt(2.0) * math.pi)  # 0.675237...
@@ -88,7 +88,9 @@ def _check_tol(tol: float):
 
 
 def _check_exact(variable: str, alpha: float, tol: float):
-    """The closed-form densities exist at alpha = 2 only."""
+    """The closed-form densities exist for N, Xi and M at alpha = 2 only."""
+    if variable not in ("n", "xi", "m"):
+        raise ValueError(f"unknown variable {variable!r}")
     if alpha != 2:
         raise NotImplementedError(f"closed-form {variable} density is available at alpha = 2 only")
     _check_tol(tol)
@@ -96,6 +98,7 @@ def _check_exact(variable: str, alpha: float, tol: float):
 
 def n_critical(alpha: float) -> float:
     """Saddle value of N_alpha, where the density diverges (one qubit)."""
+    check_order(alpha)
     return 2.0 ** (1.0 - alpha)
 
 
@@ -550,8 +553,7 @@ def critical_points(alpha: float) -> list[CriticalPoint]:
     projected gradient below 1e-10 and tangent Hessian signature matching
     its class.
     """
-    if alpha <= 1:
-        raise InvalidOrder(f"need alpha > 1, got {alpha}")
+    check_order(alpha)
     vectors: list[tuple[np.ndarray, str, int]] = []
     for axis in range(3):
         for s in (1.0, -1.0):
@@ -701,13 +703,8 @@ def _refined_grid(lo: float, hi: float, singulars, num_points: int, guard: float
     return grid
 
 
-def tabulate_pdf(
-    variable: str,
-    alpha: float = 2.0,
-    num_points: int = 600,
-    tol: float = 1e-9,
-    guard: float = 1e-5,
-) -> PdfCurve:
+def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: float = 1e-9,
+                 guard: float = 1e-5) -> PdfCurve:
     """Tabulated exact density of N, Xi or M at alpha = 2.
 
     The grid refines logarithmically into the divergence from both sides
@@ -718,15 +715,13 @@ def tabulate_pdf(
     N_2 engine.
     """
     v = variable.lower()
-    if v not in ("n", "xi", "m"):
-        raise ValueError(f"unknown variable {variable!r}")
     if num_points < 2:
         raise ValueError(f"num_points must be at least 2, got {num_points}")
+    _check_exact(v, alpha, tol)
     # every kept grid point must stay outside the density's own guard
     if not (SINGULAR_GUARD < _GUARD_KEEP * guard and guard < 0.1):
         raise ValueError(f"guard must lie in ({SINGULAR_GUARD / _GUARD_KEEP:.6g}, 0.1), "
                          f"got {guard!r}")
-    _check_exact(v, alpha, tol)
     lo, hi = support_for(v, alpha)
     c = float(measure_from_n(n_critical(alpha), v, alpha, 2))
     grid = _refined_grid(lo, hi, [c], num_points, guard)

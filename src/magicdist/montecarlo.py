@@ -25,17 +25,20 @@ import numpy as np
 from .errors import (
     InsufficientData,
     InvalidEdges,
-    InvalidOrder,
     ResourceLimit,
     SupportMismatch,
     SupportViolation,
 )
 from .exact_pdf import PdfCurve, support_for
-from .pauli_spectrum import _power_sum, hermitian_observable, measure_from_n
+from .pauli_spectrum import MAX_LOCAL_DIM, _coherence_rows, _power_sum, check_order
+from .pauli_spectrum import hermitian_observable, measure_from_n
 from .pauli_spectrum import pauli_moment_batch, weyl_moment_batch
 from .statevec import SeededRng, haar_block
 
 CHUNK_SIZE = 4096
+# worker threads a sampler may start: each draws a chunk at a time, which
+# peaks near 192 MiB at ten qubits, so the cap bounds that case near 3 GiB
+MAX_THREADS = 16
 
 MEASURES = ("n", "xi", "m", "mlin", "coherence", "observable")
 
@@ -60,17 +63,16 @@ def _check_guards(q: int, n_sites: int):
     if q == 2:
         if n_sites > 10:
             raise ResourceLimit(f"qubit sampler guard: n_sites <= 10, got {n_sites}")
-    elif 3 <= q <= 16:
+    elif 3 <= q <= MAX_LOCAL_DIM:
         if n_sites != 1:
             raise ResourceLimit("qudit sampler is single-site only")
     else:
-        raise ResourceLimit(f"local dimension {q} outside the supported range 2..16")
+        raise ResourceLimit(f"local dimension {q} outside the supported range 2..{MAX_LOCAL_DIM}")
 
 
 def _measure_chunk(states, measure, alpha, q, n_sites, observable):
     if measure == "coherence":
-        t = np.sum(np.abs(states), axis=1)
-        return np.maximum(t * t - 1.0, 0.0)
+        return _coherence_rows(states)
     if measure == "observable":
         vals = np.einsum("bi,ij,bj->b", states.conj(), observable, states)
         return vals.real
@@ -108,9 +110,9 @@ def _default_observable(d: int, observable):
     raise ValueError("an explicit observable is required for d > 2")
 
 
-def _in_order(work, n_chunks: int, threads):
+def _in_order(work, n_chunks: int, threads: int):
     """Yield ``work(i)`` for i = 0..n_chunks-1, at most 2 * threads in flight."""
-    if not threads or threads < 2:
+    if threads < 2:
         yield from map(work, range(n_chunks))
         return
     pool = ThreadPoolExecutor(max_workers=threads)
@@ -126,14 +128,18 @@ def _in_order(work, n_chunks: int, threads):
         pool.shutdown(cancel_futures=True)
 
 
-def _check_request(measure, alpha, q, n_sites, n_samples, observable):
+def _check_request(measure, alpha, q, n_sites, n_samples, observable, threads):
     """Validate a sampling request; return (measure, d, observable matrix or None)."""
     measure = canonical_measure(measure)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if measure in ("n", "xi", "m", "mlin") and alpha <= 1:
-        raise InvalidOrder(f"need alpha > 1, got {alpha}")
+    if measure in ("n", "xi", "m", "mlin"):
+        check_order(alpha)
     _check_guards(q, n_sites)
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ResourceLimit(f"thread guard: threads <= {MAX_THREADS}, got {threads}")
     d = q**n_sites
     obs = _default_observable(d, observable) if measure == "observable" else None
     return measure, d, obs
@@ -148,7 +154,7 @@ def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None,
     (measure, alpha, q, n_sites, n_samples, seed) alone.  ``post`` maps
     each chunk inside the worker, so per-chunk reductions run in parallel.
     """
-    measure, d, obs = _check_request(measure, alpha, q, n_sites, n_samples, observable)
+    measure, d, obs = _check_request(measure, alpha, q, n_sites, n_samples, observable, threads)
 
     def work(i):
         states = haar_block(d, SeededRng(seed, i), min(CHUNK_SIZE, n_samples - i * CHUNK_SIZE))
@@ -167,8 +173,9 @@ def sample_array(measure, alpha, q, n_sites, n_samples, seed, observable=None) -
 
 def _check_edges(edges) -> np.ndarray:
     edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2 or np.any(np.diff(edges) <= 0):
-        raise InvalidEdges("edges must be a strictly increasing 1-D sequence")
+    if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
+            or np.any(np.diff(edges) <= 0)):
+        raise InvalidEdges("edges must be a strictly increasing 1-D sequence of finite numbers")
     return edges
 
 
@@ -238,17 +245,8 @@ def _exact_range(measure, alpha, q, n_sites, obs):
     return None
 
 
-def histogram_measure(
-    measure,
-    alpha,
-    q,
-    n_sites,
-    n_samples,
-    seed,
-    edges,
-    observable=None,
-    threads: int = 1,
-) -> Histogram:
+def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observable=None,
+                      threads: int = 1) -> Histogram:
     """Sample and bin in one pass, optionally across a thread pool.
 
     ``edges`` may be a bin count, as for ``numpy.histogram``: the bins then
@@ -259,7 +257,7 @@ def histogram_measure(
     raise ``SupportViolation`` when the edges cover a one-qubit N/Xi/M/M_lin
     support, which is exact.  The result is identical for every thread count.
     """
-    measure, _, obs = _check_request(measure, alpha, q, n_sites, n_samples, observable)
+    measure, _, obs = _check_request(measure, alpha, q, n_sites, n_samples, observable, threads)
     span = _exact_range(measure, alpha, q, n_sites, obs)
     # one-qubit N/Xi/M/M_lin values are clipped into that support
     clipped = measure in ("n", "xi", "m", "mlin") and span is not None
@@ -314,21 +312,27 @@ def measure_mean(measure, alpha, q, n_sites, n_samples, seed, observable=None, t
 
 @dataclass(frozen=True)
 class DivergenceFit:
-    """OLS of density against -ln|x - center| inside an epsilon window."""
+    """OLS of density against -ln|x - center| inside an epsilon window
+    (fields in the order of the ``fit-divergence`` JSON keys)."""
 
     center: float
-    side: str  # "left", "right" or "both"
     slope: float
     intercept: float
     window: tuple[float, float]
+    side: str  # "left", "right" or "both"
     r_squared: float
     n_points: int
 
 
-def _fit_points(source, center, window, side):
-    eps_min, eps_max = window
-    if not 0.0 < eps_min < eps_max:
+def check_fit_window(window):
+    """Raise ValueError unless ``window`` is a pair with 0 < eps_min < eps_max."""
+    if len(window) != 2 or not 0.0 < window[0] < window[1]:
         raise ValueError(f"need 0 < eps_min < eps_max, got {window!r}")
+
+
+def _fit_points(source, center, window, side):
+    check_fit_window(window)
+    eps_min, eps_max = window
     if isinstance(source, Histogram):
         x = source.centers()
         y = source.density()

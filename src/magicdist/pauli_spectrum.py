@@ -39,6 +39,8 @@ from .statevec import PureState, to_bloch
 
 FAST_MAX_SITES = 14
 NAIVE_MAX_SITES = 6
+# largest qudit the Weyl kernels and the sampler accept
+MAX_LOCAL_DIM = 16
 # entries per block of the Pauli kernels' scratch (~2 MiB of complex or
 # two planes of reals): blocks that stay in cache run faster than larger ones
 _SCRATCH = 2**17
@@ -176,12 +178,19 @@ def _xz_table(states: np.ndarray, masks: np.ndarray, scratch) -> np.ndarray:
     return np.add(f[0], f[1], out=f[0])
 
 
+def check_spectrum_size(local_dim: int, num_sites: int):
+    """ResourceLimit beyond FAST_MAX_SITES qubits or a qudit above MAX_LOCAL_DIM."""
+    if local_dim == 2 and num_sites > FAST_MAX_SITES:
+        raise ResourceLimit(f"n={num_sites} exceeds the fast-path guard of {FAST_MAX_SITES}")
+    if local_dim > MAX_LOCAL_DIM:
+        raise ResourceLimit(f"local dimension {local_dim} exceeds the guard of {MAX_LOCAL_DIM}")
+
+
 def pauli_spectrum_fast(s: PureState) -> PauliSpectrum:
     """All qubit Pauli moduli via per-mask Walsh-Hadamard transforms."""
     if s.local_dim != 2:
         raise UseWeylPath("fast Pauli path is qubit-only; call weyl_spectrum")
-    if s.num_sites > FAST_MAX_SITES:
-        raise ResourceLimit(f"n={s.num_sites} exceeds the fast-path guard of {FAST_MAX_SITES}")
+    check_spectrum_size(2, s.num_sites)
     d = s.dim
     masks = np.arange(d)
     mods = np.empty(d * d)
@@ -270,6 +279,7 @@ def weyl_spectrum(s: PureState) -> PauliSpectrum:
     """|Tr(D_a psi)|^2 for every displacement a = (a1, a2) != (0, 0)."""
     if s.num_sites != 1:
         raise DimensionMismatch("weyl_spectrum expects a single site")
+    check_spectrum_size(s.local_dim, 1)
     vals = np.concatenate(list(_weyl_mods(s.amplitudes[None, :])), axis=1)
     return PauliSpectrum(vals[0, 1:], s.local_dim, 1)
 
@@ -287,6 +297,12 @@ def _power_sum(values: np.ndarray, alpha: float, axis=None) -> np.ndarray:
             acc = acc * values
         return acc.sum(axis=axis)
     return (values**alpha).sum(axis=axis)
+
+
+def check_order(alpha: float):
+    """Raise InvalidOrder unless the Renyi order is finite and above 1."""
+    if not (math.isfinite(alpha) and alpha > 1):
+        raise InvalidOrder(f"need a finite alpha > 1, got {alpha}")
 
 
 def measure_from_n(n, measure: str, alpha: float, d: int):
@@ -336,8 +352,7 @@ def magic_report(spec: PauliSpectrum, alpha: float, state: PureState | None = No
     Z-basis l1 coherence is attached; incompatibility is attached for a
     single qubit at integer alpha.
     """
-    if alpha <= 1:
-        raise InvalidOrder(f"need alpha > 1, got {alpha}")
+    check_order(alpha)
     d = spec.dim
     # blocks bound the power's temporary; a spectrum of n <= 10 qubits is one block
     vals = spec.values
@@ -345,7 +360,7 @@ def magic_report(spec: PauliSpectrum, alpha: float, state: PureState | None = No
                         for i in range(0, vals.size, _POWER_SUM_BLOCK)))
     gamma = None
     if d == 2 and _is_integer(alpha):
-        gamma = float(2.0 * np.sum((1.0 - spec.values) ** int(round(alpha))))
+        gamma = _incompatibility(spec.values, alpha)
     coh = None
     if state is not None and state.local_dim == 2:
         coh = coherence_l1(state)
@@ -366,18 +381,25 @@ def incompatibility(s: PureState, alpha: int) -> float:
     Equals the sum over j of the Schatten-2alpha norm (to the 2alpha) of the
     commutators [psi, sigma_j]; defined for integer alpha >= 1 on one qubit.
     """
-    if s.dim != 2:
-        raise DimensionMismatch("incompatibility is defined for a single qubit")
     if not (_is_integer(alpha) and round(alpha) >= 1):
         raise InvalidOrder(f"incompatibility needs a positive integer order, got {alpha}")
-    n = to_bloch(s).as_array()
-    return float(2.0 * np.sum((1.0 - n**2) ** int(round(alpha))))
+    return _incompatibility(to_bloch(s).as_array() ** 2, alpha)
+
+
+def _incompatibility(squares: np.ndarray, alpha: float) -> float:
+    """2 sum_j (1 - n_j^2)^alpha over the squared Bloch components n_j^2."""
+    return float(2.0 * np.sum((1.0 - squares) ** int(round(alpha))))
 
 
 def coherence_l1(s: PureState) -> float:
     """sum_{i != j} |psi_i psi_j*| in the computational basis."""
-    total = float(np.sum(np.abs(s.amplitudes)))
-    return max(total * total - 1.0, 0.0)
+    return float(_coherence_rows(s.amplitudes[None, :])[0])
+
+
+def _coherence_rows(states: np.ndarray) -> np.ndarray:
+    """l1 coherence of each row of a (m, d) array of states."""
+    total = np.sum(np.abs(states), axis=1)
+    return np.maximum(total * total - 1.0, 0.0)
 
 
 def hermitian_observable(obs, dim: int) -> np.ndarray:

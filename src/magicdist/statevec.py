@@ -70,7 +70,7 @@ class PureState:
         if amps.size != q**n:
             raise InvalidDimension(f"{amps.size} amplitudes cannot hold {n} sites of dimension {q}")
         norm2 = float(np.sum(amps.real**2 + amps.imag**2))
-        if abs(norm2 - 1.0) > NORM_TOL:
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN fails too
             raise InvalidDimension(f"state not normalized: sum |a|^2 = {norm2!r}")
 
     @property
@@ -99,18 +99,23 @@ class BlochVector:
         return float(np.sqrt(self.n1**2 + self.n2**2 + self.n3**2))
 
 
+def register_shape(dim: int, local_dim: int | None = None) -> tuple[int, int]:
+    """(local_dim, num_sites) of a register of dimension ``dim``: qubits for
+    local dimension 2, else one qudit.  ``local_dim`` defaults to 2 when dim
+    is a power of two and to dim itself otherwise."""
+    if local_dim is None:
+        local_dim = 2 if dim & (dim - 1) == 0 else dim
+    q = int(local_dim)
+    n = int(dim).bit_length() - 1 if q == 2 else 1
+    if q**n != dim:
+        raise InvalidDimension(f"dimension {dim} is not a register of local dimension {q}")
+    return q, n
+
+
 def state_from_amplitudes(values, local_dim: int = 2) -> PureState:
     """Build a PureState, inferring the number of sites from the length."""
     amps = np.asarray(values, dtype=np.complex128).reshape(-1)
-    q = int(local_dim)
-    n = 1
-    if q == 2:
-        n = int(round(np.log2(amps.size)))
-        if 2**n != amps.size:
-            raise InvalidDimension(f"length {amps.size} is not a power of two")
-    elif amps.size != q:
-        raise InvalidDimension(f"single qudit of dimension {q} needs {q} amplitudes")
-    return PureState(amps, q, n)
+    return PureState(amps, *register_shape(amps.size, local_dim))
 
 
 def haar_block(d: int, rng, count: int) -> np.ndarray:
@@ -143,18 +148,15 @@ def haar_block(d: int, rng, count: int) -> np.ndarray:
 
 
 def haar_sample(d: int, rng, local_dim: int | None = None) -> PureState:
-    """One state from the unitarily invariant measure on dimension d.
-
-    ``local_dim`` defaults to 2 when d is a power of two (qubit register)
-    and to d itself otherwise (single qudit).
-    """
-    return state_from_amplitudes(haar_block(d, rng, 1)[0],
-                                 local_dim or (2 if d & (d - 1) == 0 else d))
+    """One state from the unitarily invariant measure on dimension d; its
+    register (``register_shape``, same ``local_dim`` default) is checked before the draw."""
+    q, n = register_shape(d, local_dim or None)
+    return PureState(haar_block(d, rng, 1)[0], q, n)
 
 
 def from_bloch(b: BlochVector) -> PureState:
     """Qubit state (1 + n.sigma)/2 with the canonical phase convention."""
-    if abs(b.norm() - 1.0) > BLOCH_TOL:
+    if not abs(b.norm() - 1.0) <= BLOCH_TOL:
         raise InvalidBlochVector(f"|n| = {b.norm()!r} is off the unit sphere")
     theta = np.arccos(np.clip(b.n3, -1.0, 1.0))
     phi = np.arctan2(b.n2, b.n1)
@@ -175,8 +177,6 @@ def tensor(a: PureState, b: PureState) -> PureState:
     """Kronecker product; site 0 of ``a`` is the most significant digit."""
     if a.local_dim != b.local_dim:
         raise DimensionMismatch(f"mixed local dimensions {a.local_dim} and {b.local_dim}")
-    if a.local_dim > 2:
-        raise InvalidDimension("qudit registers are limited to a single site")
     return PureState(np.kron(a.amplitudes, b.amplitudes), a.local_dim, a.num_sites + b.num_sites)
 
 

@@ -4,7 +4,7 @@ import warnings
 
 import pytest
 
-from magicdist import exact_pdf, montecarlo, svgplot
+from magicdist import exact_pdf, montecarlo, statevec, svgplot
 from magicdist.cli import main
 
 
@@ -145,14 +145,13 @@ class TestSample:
         assert main(argv + ["--output", str(b), "--threads", "3"]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_env_var(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MAGICDIST_THREADS", "2")
-        a, b = tmp_path / "a.csv", tmp_path / "env.csv"
-        argv = ["sample", "--measure", "n", "--samples", "20000", "--bins", "50",
-                "--seed", "7"]
-        assert main(argv + ["--output", str(a), "--threads", "1"]) == 0
-        assert main(argv + ["--output", str(b)]) == 0  # picks up the env cap
-        assert a.read_bytes() == b.read_bytes()
+    def test_thread_guard_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
+        assert main(["sample", "--samples", "100", "--bins", "4",
+                     "--threads", str(montecarlo.MAX_THREADS + 1)]) == 4
 
     def test_csv_structure(self, capsys):
         code, out = run_cli(
@@ -434,3 +433,56 @@ class TestReproduceFigures:
             outs[threads] = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
         assert len(outs["1"]) == 13  # six CSV, six SVG and the manifest
         assert outs["1"] == outs["2"]
+
+
+# inputs rejected before any state is drawn, with their exit codes
+REJECTED = [
+    (["sample", "--alpha", "inf", "--samples", "1000", "--bins", "4"], 3),
+    (["measure", "--bloch", "1,0,0", "--alpha", "inf"], 3),
+    (["measure", "--bloch", "1,0,0", "--alpha", "nan"], 3),
+    (["critical-points", "--alpha", "nan"], 3),
+    (["fit-divergence", "--samples", "100000", "--window", "1e-3"], 2),
+    (["fit-divergence", "--samples", "4000000", "--window", "1e-2,1e-3"], 2),
+    (["measure", "--haar", "--alpha", "inf"], 3),
+    (["measure", "--haar", "--dim", "1099511627776"], 4),
+    (["measure", "--haar", "--dim", "100000", "--local-dim", "100000"], 4),
+    (["measure", "--amplitudes", "0,0"], 2),
+    (["measure", "--bloch", "nan,0,0"], 2),
+    (["sample", "--window", "nan,1"], 2),
+    (["sample", "--window", "0,inf"], 2),
+    (["reproduce-figures", "--scale", "-1"], 2),
+    (["reproduce-figures", "--scale", "0"], 2),
+    (["reproduce-figures", "--scale", "nan"], 2),
+    (["reproduce-figures", "--only", "nosuchfig"], 2),
+    (["sample", "--threads", "0"], 2),
+    (["sample", "--threads", "-3"], 2),
+]
+
+
+@pytest.mark.parametrize("argv, code", REJECTED, ids=[" ".join(a) for a, _ in REJECTED])
+def test_rejected_before_any_draw(capsys, monkeypatch, tmp_path, argv, code):
+    draws = []
+
+    def recorded(draw):
+        def counting(*args):
+            draws.append(args)
+            return draw(*args)
+        return counting
+
+    for module in (montecarlo, statevec):
+        monkeypatch.setattr(module, "haar_block", recorded(module.haar_block))
+    outdir = tmp_path / "figures"
+    if argv[0] == "reproduce-figures":
+        argv = [*argv, "--outdir", str(outdir)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = main(argv)
+        except SystemExit as exc:  # argparse refuses a malformed flag
+            got = exc.code
+            assert ": error: argument" in capsys.readouterr().err.splitlines()[-1]
+        else:
+            assert len(capsys.readouterr().err.splitlines()) == 1
+    assert got == code
+    assert draws == []
+    assert not outdir.exists()

@@ -34,6 +34,7 @@ from magicdist import (
     BlochVector,
     haar_moments_n2,
 )
+from magicdist.errors import InvalidOrder
 from magicdist.exact_pdf import PdfCurve
 
 # reference densities integrated independently at 30 digits (tanh-sinh on
@@ -226,6 +227,11 @@ class TestCriticalPoints:
             assert p.value == pytest.approx(3.0 ** (1 - alpha), abs=1e-14)
         for p in pts:
             assert p.grad_norm < 1e-10
+
+    def test_order_guard(self):
+        for alpha in (1.0, 0.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidOrder):
+                critical_points(alpha)
 
     def test_saddle_values(self):
         assert n_critical(2.0) == pytest.approx(0.5)

@@ -116,10 +116,22 @@ class TestSampling:
     def test_alpha_guard(self):
         from magicdist import InvalidOrder
 
-        with pytest.raises(InvalidOrder):
-            next(sample_measure("m", 1.0, 2, 1, 10, seed=0))
-        with pytest.raises(InvalidOrder):
-            histogram_measure("n", 0.5, 2, 1, 10, 0, [0.0, 1.0])
+        for alpha in (1.0, 0.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidOrder):
+                sample_measure("m", alpha, 2, 1, 10, seed=0)
+            with pytest.raises(InvalidOrder):
+                histogram_measure("n", alpha, 2, 1, 10, 0, [0.0, 1.0])
+
+    def test_thread_guard_starts_no_pool(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", refuse)
+        for threads in (0, -3):
+            with pytest.raises(ValueError, match="threads must be at least 1"):
+                sample_measure("n", 2.0, 2, 1, 10, seed=0, threads=threads)
+        with pytest.raises(ResourceLimit):
+            histogram_measure("n", 2.0, 2, 1, 10, 0, 4, threads=montecarlo.MAX_THREADS + 1)
 
     def test_validates_when_called(self):
         # no next(): a bad request fails before any chunk is drawn
@@ -171,8 +183,9 @@ class TestBuildHistogram:
         assert (h.n_below, h.n_above) == (1, 1)
 
     def test_bad_edges(self):
-        with pytest.raises(InvalidEdges):
-            build_histogram(np.array([1.0]), [0.0, 0.0, 1.0])
+        for edges in ([0.0, 0.0, 1.0], [np.nan, 1.0], [0.0, np.inf]):
+            with pytest.raises(InvalidEdges):
+                build_histogram(np.array([1.0]), edges)
 
     @given(
         samples=st.lists(st.floats(-5, 5), max_size=300),

@@ -32,7 +32,7 @@ from magicdist import (
     PureState,
 )
 from magicdist.pauli_spectrum import _wht_last, pauli_moment_batch, weyl_moment_batch
-from magicdist.statevec import haar_block
+from magicdist.statevec import haar_block, register_shape
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -122,6 +122,11 @@ class TestQubitSpectra:
         big = PureState(np.eye(2**7)[0].astype(complex), 2, 7)
         with pytest.raises(ResourceLimit):
             pauli_spectrum_naive(big)
+        with pytest.raises(ResourceLimit):
+            pauli_spectrum_fast(PureState(np.eye(1, 2**15)[0], 2, 15))
+        # the sampler's qudit limit holds for a single spectrum too
+        with pytest.raises(ResourceLimit):
+            weyl_spectrum(PureState(np.eye(1, 17)[0], 17, 1))
 
     def test_chunked_fast_path_purity(self):
         # 12 sites exercises the row-chunked transform (scratch cap)
@@ -268,8 +273,9 @@ class TestMagicReport:
                 )
 
     def test_alpha_guard(self):
-        with pytest.raises(InvalidOrder):
-            magic_report(pauli_spectrum_fast(H_STATE), 1.0)
+        for alpha in (1.0, 0.5, float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(InvalidOrder):
+                magic_report(pauli_spectrum_fast(H_STATE), alpha)
 
     def test_n_alpha_bounds_single_qubit(self):
         for seed in range(50):
@@ -455,6 +461,14 @@ class TestCoherenceAndExpectation:
         theta = np.pi / 3
         s = state_from_amplitudes([np.cos(theta / 2), np.sin(theta / 2)])
         assert coherence_l1(s) == pytest.approx(np.sin(theta), abs=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 1024, 4096])
+    def test_matches_one_dimensional_sum_bit_for_bit(self, d):
+        # the sampler's row formula gives the bits of the 1-D sum
+        for state in haar_block(d, SeededRng(d, 3), 20):
+            total = float(np.sum(np.abs(state)))
+            expected = max(total * total - 1.0, 0.0)
+            assert coherence_l1(PureState(state, *register_shape(d))) == expected
 
     def test_multiqubit_formula(self):
         s = haar_sample(8, SeededRng(12))

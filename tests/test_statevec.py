@@ -17,6 +17,8 @@ from magicdist import (
     tensor,
     to_bloch,
 )
+from magicdist import statevec
+from magicdist.statevec import register_shape
 
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -39,8 +41,9 @@ class TestSeededRng:
 
 class TestPureState:
     def test_norm_enforced(self):
-        with pytest.raises(InvalidDimension):
-            PureState(np.array([1.0, 1.0]), 2, 1)
+        for amps in ([1.0, 1.0], [np.nan, 0.0]):
+            with pytest.raises(InvalidDimension):
+                PureState(np.array(amps), 2, 1)
 
     def test_size_must_match_sites(self):
         with pytest.raises(InvalidDimension):
@@ -69,6 +72,20 @@ class TestHaarSample:
     def test_local_dim_mismatch(self, d, local_dim):
         with pytest.raises(InvalidDimension):
             haar_sample(d, SeededRng(0), local_dim=local_dim)
+
+    @pytest.mark.parametrize("d, local_dim, shape", [
+        (2, None, (2, 1)), (8, None, (2, 3)), (3, None, (3, 1)), (4, 4, (4, 1)),
+        (3, 2, None), (2, 3, None), (0, None, None),
+    ])
+    def test_register_shape_checked_before_the_draw(self, monkeypatch, d, local_dim, shape):
+        draws = []
+        monkeypatch.setattr(statevec, "haar_block", lambda *args: draws.append(args))
+        if shape is None:
+            with pytest.raises(InvalidDimension):
+                haar_sample(d, SeededRng(0), local_dim=local_dim)
+            assert draws == []
+        else:
+            assert register_shape(d, local_dim) == shape
 
     def test_explicit_local_dim(self):
         s = haar_sample(4, SeededRng(0), local_dim=4)
@@ -155,8 +172,9 @@ class TestBloch:
         assert np.allclose(s.amplitudes, [INV_SQRT2, INV_SQRT2], atol=1e-15)
 
     def test_off_sphere_rejected(self):
-        with pytest.raises(InvalidBlochVector):
-            from_bloch(BlochVector(1, 1, 1))
+        for n1 in (1.0, np.nan):
+            with pytest.raises(InvalidBlochVector):
+                from_bloch(BlochVector(n1, 1, 1))
 
     def test_to_bloch_of_zero(self):
         assert to_bloch(state_from_amplitudes([1, 0])).as_array() == pytest.approx([0, 0, 1])
