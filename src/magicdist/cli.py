@@ -401,6 +401,9 @@ def main(argv=None) -> int:
     except SupportViolation as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    except ArithmeticError as exc:  # a quadrature or classification that failed its check
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except ValueError as exc:  # every input error of the package subclasses it
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -536,10 +536,15 @@ def _projected_gradient(vec: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _tangent_hessian_eigs(vec: np.ndarray, alpha: float) -> np.ndarray:
-    """Eigenvalues of the constrained Hessian on the tangent plane."""
-    diag = 2.0 * alpha * (2.0 * alpha - 1.0) * np.abs(vec) ** (2.0 * alpha - 2.0)
-    g = 2.0 * alpha * np.sign(vec) * np.abs(vec) ** (2.0 * alpha - 1.0)
-    lagr = np.diag(diag) - np.dot(g, vec) * np.eye(3)
+    """Eigenvalues of the constrained Hessian on the tangent plane, divided by
+    the positive factor 2 alpha m^(2 alpha - 2), m = max |n_i|.
+
+    The factor keeps every sign and brings the eigenvalues to between 1 and
+    2 alpha - 2 in size; unscaled they shrink like alpha 2^(1 - alpha) at the
+    saddles and alpha 3^(1 - alpha) at the minima, and underflow at large alpha.
+    """
+    r = (np.abs(vec) / np.max(np.abs(vec))) ** (2.0 * alpha - 2.0)
+    lagr = np.diag((2.0 * alpha - 1.0) * r) - np.dot(vec * vec, r) * np.eye(3)
     tangent = null_space(vec[None, :])  # orthonormal columns perpendicular to vec
     return np.linalg.eigvalsh(tangent.T @ lagr @ tangent)
 
@@ -551,7 +556,8 @@ def critical_points(alpha: float) -> list[CriticalPoint]:
     vectors (saddles, value 2^(1-alpha)) and eight diagonal vectors
     (minima, value 3^(1-alpha)).  Each point is checked numerically:
     projected gradient below 1e-10 and tangent Hessian signature matching
-    its class.
+    its class, each eigenvalue's sign counted when it exceeds 1e-8 of the
+    largest in size.  A failed check raises ArithmeticError.
     """
     check_order(alpha)
     vectors: list[tuple[np.ndarray, str, int]] = []
@@ -575,8 +581,9 @@ def critical_points(alpha: float) -> list[CriticalPoint]:
     for vec, label, mult in vectors:
         grad = float(np.linalg.norm(_projected_gradient(vec, alpha)))
         eigs = _tangent_hessian_eigs(vec, alpha)
-        pos = int(np.sum(eigs > 1e-8))
-        neg = int(np.sum(eigs < -1e-8))
+        zero = 1e-8 * np.max(np.abs(eigs))
+        pos = int(np.sum(eigs > zero))
+        neg = int(np.sum(eigs < -zero))
         if neg == 2 and pos == 0:
             seen = "C1_max"
         elif pos == 2 and neg == 0:

@@ -79,15 +79,17 @@ def _measure_chunk(states, measure, alpha, q, n_sites, observable):
     if q == 2 and n_sites == 1:
         # Bloch components (2 Re z, 2 Im z, |a0|^2 - |a1|^2), z = conj(a0) a1,
         # as the rows of one buffer, squared and normalised in place; every
-        # sum keeps its order, so the bits are those of the row-wise form
-        z = np.conj(states[:, 0]) * states[:, 1]
+        # sum keeps its order, so the bits are those of the row-wise form.
+        # The columns are contiguous for haar_block's plane-major d = 2 block.
+        a0, a1 = states[:, 0], states[:, 1]
+        z = np.conj(a0) * a1
         comp_sq = np.empty((3, states.shape[0]))
         np.multiply(z.real, 2, out=comp_sq[0])
         np.multiply(z.imag, 2, out=comp_sq[1])
-        parts = np.square(states.view(np.float64))  # columns re a0, im a0, re a1, im a1
-        np.add(parts[:, 0], parts[:, 1], out=comp_sq[2])
-        comp_sq[2] -= parts[:, 2]
-        comp_sq[2] -= parts[:, 3]
+        np.square(a0.real, out=comp_sq[2])
+        comp_sq[2] += np.square(a0.imag)
+        comp_sq[2] -= np.square(a1.real)
+        comp_sq[2] -= np.square(a1.imag)
         np.square(comp_sq, out=comp_sq)
         # exact normalization of the Bloch vector keeps N inside its support
         total = comp_sq[0] + comp_sq[1]
@@ -324,15 +326,34 @@ class DivergenceFit:
     n_points: int
 
 
+# fewest populated bins a divergence fit accepts
+MIN_FIT_POINTS = 6
+# most Poisson counts the bootstrap draws at once (8 MiB of int64)
+_BOOTSTRAP_BLOCK = 1 << 20
+
+
 def check_fit_window(window):
     """Raise ValueError unless ``window`` is a pair with 0 < eps_min < eps_max."""
     if len(window) != 2 or not 0.0 < window[0] < window[1]:
         raise ValueError(f"need 0 < eps_min < eps_max, got {window!r}")
 
 
-def _fit_points(source, center, window, side):
+def _window_mask(x, center, window, side) -> np.ndarray:
+    """Which abscissas ``x`` lie inside the fit window on the chosen side."""
     check_fit_window(window)
     eps_min, eps_max = window
+    delta = x - center
+    keep = (np.abs(delta) > eps_min) & (np.abs(delta) < eps_max)
+    if side == "left":
+        keep &= delta < 0
+    elif side == "right":
+        keep &= delta > 0
+    elif side != "both":
+        raise ValueError(f"side must be left/right/both, got {side!r}")
+    return keep
+
+
+def _fit_points(source, center, window, side):
     if isinstance(source, Histogram):
         x = source.centers()
         y = source.density()
@@ -343,23 +364,16 @@ def _fit_points(source, center, window, side):
         keep = np.ones(x.size, dtype=bool)
     else:
         raise TypeError("expected Histogram or PdfCurve")
-    delta = x - center
-    keep &= (np.abs(delta) > eps_min) & (np.abs(delta) < eps_max)
-    if side == "left":
-        keep &= delta < 0
-    elif side == "right":
-        keep &= delta > 0
-    elif side != "both":
-        raise ValueError(f"side must be left/right/both, got {side!r}")
+    keep &= _window_mask(x, center, window, side)
     return x[keep], y[keep]
 
 
 def fit_log_divergence(source, center: float, window, side: str = "both") -> DivergenceFit:
     """Least-squares logarithmic-divergence fit on a histogram or curve."""
     x, y = _fit_points(source, center, window, side)
-    if x.size < 6:
+    if x.size < MIN_FIT_POINTS:
         raise InsufficientData(
-            f"only {x.size} populated bins inside the window; need at least 6"
+            f"only {x.size} populated bins inside the window; need at least {MIN_FIT_POINTS}"
         )
     t = -np.log(np.abs(x - center))
     slope, intercept = np.polyfit(t, y, 1)
@@ -386,16 +400,28 @@ def bootstrap_slope_ci(
     seed: int = 7,
     level: float = 0.95,
 ):
-    """Percentile bootstrap CI for the fitted slope (Poisson-resampled bins)."""
+    """Percentile bootstrap CI for the fitted slope (Poisson-resampled bins).
+
+    Resample i is row i of the Poisson draws from the stream (seed, 0), one
+    row per resample; each is fitted as ``fit_log_divergence`` fits a
+    histogram (its populated bins inside the window) and skipped when fewer
+    than ``MIN_FIT_POINTS`` remain.  The rows are drawn by one call per block
+    of at most ``_BOOTSTRAP_BLOCK`` counts, which equals drawing them one by
+    one and bounds the memory for any ``n_boot``.
+    """
+    x = hist.centers()
+    inside = _window_mask(x, center, window, side)
+    t = -np.log(np.abs(x[inside] - center))
+    scale = (hist.total_samples * hist.widths())[inside]
+    lam = hist.counts.astype(float)
+    rows = max(1, _BOOTSTRAP_BLOCK // lam.size)
     g = SeededRng(seed, 0).generator()
     slopes = []
-    for _ in range(n_boot):
-        counts = g.poisson(hist.counts.astype(float))
-        resampled = Histogram(hist.edges, counts, hist.total_samples)
-        try:
-            slopes.append(fit_log_divergence(resampled, center, window, side).slope)
-        except InsufficientData:
-            continue
+    for start in range(0, n_boot, rows):
+        for counts in g.poisson(lam, size=(min(rows, n_boot - start), lam.size))[:, inside]:
+            keep = counts > 0
+            if np.count_nonzero(keep) >= MIN_FIT_POINTS:
+                slopes.append(np.polyfit(t[keep], counts[keep] / scale[keep], 1)[0])
     if len(slopes) < max(10, n_boot // 2):
         raise InsufficientData("too many bootstrap resamples lost their bins")
     tail = (1.0 - level) / 2.0

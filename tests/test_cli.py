@@ -358,6 +358,24 @@ class TestCriticalPoints:
         saddle = next(p for p in json.loads(out)["points"] if p["class"] == "C2_saddle")
         assert saddle["value"] == pytest.approx(0.125)
 
+    @pytest.mark.parametrize("alpha", ["25", "50", "200", "1000"])
+    def test_large_orders(self, capsys, alpha):
+        code, out = run_cli(capsys, "critical-points", "--alpha", alpha)
+        assert code == 0
+        classes = [p["class"] for p in json.loads(out)["points"]]
+        assert {c: classes.count(c) for c in set(classes)} == {
+            "C1_max": 6, "C2_saddle": 12, "C3_min": 8}
+
+    def test_numerical_failure_exit_1(self, capsys, monkeypatch):
+        def failing(alpha):
+            raise ArithmeticError("classification failed")
+
+        monkeypatch.setattr(exact_pdf, "critical_points", failing)
+        assert main(["critical-points", "--alpha", "2"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "numerical failure: classification failed\n"
+
 
 class TestMeanSre:
     def test_values(self, capsys):

@@ -311,8 +311,10 @@ class TestChunkEngine:
             n_vals = np.sum(powered, axis=1)
             np.clip(n_vals, 3.0 ** (1 - alpha), 1.0, out=n_vals)
             expected = measure_from_n(n_vals, measure, alpha, 2)
-            got = montecarlo._measure_chunk(states, measure, alpha, 2, 1, None)
-            assert got.tobytes() == expected.tobytes()
+            # haar_block's plane-major columns and the C-ordered rows of from_bloch callers
+            for layout in (states, np.ascontiguousarray(states)):
+                got = montecarlo._measure_chunk(layout, measure, alpha, 2, 1, None)
+                assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
     def test_one_qubit_kernel_clips_rounding_into_the_support(self, alpha):
@@ -434,6 +436,36 @@ class TestDivergenceFit:
         lo, hi = bootstrap_slope_ci(h, 0.5, (1e-4, 2e-2), n_boot=60, seed=3)
         assert lo < fit.slope < hi
         assert hi - lo < 0.05
+
+    def test_one_poisson_call_equals_sequential_calls(self):
+        lam = synthetic_log_histogram(total=3000).counts.astype(float)
+        block = SeededRng(5, 0).generator().poisson(lam, size=(40, lam.size))
+        g = SeededRng(5, 0).generator()
+        assert np.array_equal(block, [g.poisson(lam) for _ in range(40)])
+
+    @pytest.mark.parametrize("seed", [3, 11])
+    @pytest.mark.parametrize("total, window, side, block", [
+        (10**7, (1e-4, 2e-2), "both", 1 << 20),
+        # about two counts per window bin: resamples lose bins, and 7 (seed 3) and
+        # 15 (seed 11) of the 50 keep fewer than six and are skipped
+        (300, (4e-3, 2e-2), "left", 1 << 20),
+        (300, (4e-3, 2e-2), "left", 200),  # two resamples per Poisson call
+    ])
+    def test_bootstrap_matches_per_resample_loop(self, monkeypatch, seed, total, window, side,
+                                                 block):
+        monkeypatch.setattr(montecarlo, "_BOOTSTRAP_BLOCK", block)
+        h = synthetic_log_histogram(total=total)
+        g = SeededRng(seed, 0).generator()
+        slopes, lost = [], 0
+        for _ in range(50):
+            resampled = Histogram(h.edges, g.poisson(h.counts.astype(float)), h.total_samples)
+            try:
+                slopes.append(fit_log_divergence(resampled, 0.5, window, side).slope)
+            except InsufficientData:
+                lost += 1
+        expected = tuple(float(v) for v in np.quantile(slopes, [0.025, 0.975]))
+        assert bootstrap_slope_ci(h, 0.5, window, side, n_boot=50, seed=seed) == expected
+        assert (lost > 0) == (total == 300)
 
 
 @pytest.fixture(scope="module")

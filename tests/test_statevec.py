@@ -98,8 +98,9 @@ class TestHaarSample:
         s = haar_sample(8, SeededRng(0))
         assert (s.local_dim, s.num_sites) == (2, 3)
 
-    @pytest.mark.parametrize("d, count", [(2, 4096), (3, 4096), (4, 4096), (7, 1000),
-                                          (8, 1000), (64, 300), (1024, 20)])
+    @pytest.mark.parametrize("d, count", [(2, 1), (2, 5), (2, 4095), (2, 4096), (3, 4096),
+                                          (4, 4096), (7, 1000), (8, 1000), (64, 300),
+                                          (1024, 20)])
     def test_block_is_pinned_bit_for_bit(self, d, count):
         # the seeded outputs are pinned to this expression, last bits included
         for stream in range(3):
@@ -110,6 +111,7 @@ class TestHaarSample:
             states /= norms
             got = haar_block(d, SeededRng(17, stream), count)
             assert got.dtype == np.complex128 and got.shape == (count, d)
+            assert got.T.flags.c_contiguous == (d == 2)  # plane-major at d = 2 only
             assert got.tobytes() == states.tobytes()
 
     @pytest.mark.parametrize("d", [2, 3, 8])

@@ -67,6 +67,12 @@ SINGLE_FILE = [
     # a guard below the density's own: no file, only the exit code counts
     ("fit_exact_guard.json", ["fit-divergence", "--exact", "--window", "1e-12,1e-3"]),
     ("mean_sre_mc.json", ["mean-sre", "--mc", "100000", "--seed", "7"]),
+    # odd sample counts: the last one-qubit chunk holds 1699, 3617 and 1 states
+    ("mean_sre_mc_100003.json", ["mean-sre", "--mc", "100003", "--seed", "7"]),
+    ("sample_n_20001.csv", ["sample", "--measure", "n", "--samples", "20001", "--bins", "50",
+                            "--seed", "3"]),
+    ("sample_n_4097.csv", ["sample", "--measure", "n", "--samples", "4097", "--bins", "50",
+                           "--seed", "3"]),
     ("measure_h.json", ["measure", "--bloch", H_STATE]),
     ("measure_h_alpha3_bits.json", ["measure", "--bloch", H_STATE, "--alpha", "3", "--bits"]),
     ("measure_basis.json", ["measure", "--amplitudes", "1,0,0,0"]),
