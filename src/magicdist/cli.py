@@ -212,7 +212,9 @@ def cmd_fit_divergence(args) -> int:
         fit = montecarlo.fit_log_divergence(curve, center, window, side=args.side)
         _json_out({"mode": "exact", **dataclasses.asdict(fit)}, args.output)
         return 0
-    montecarlo.check_fit_window(window)  # before any state is drawn
+    # before any state is drawn
+    montecarlo.check_fit_window(window)
+    montecarlo.check_bootstrap_count(args.bootstrap)
     # geometric bins around the center keep the ln regressor well conditioned
     wings = np.geomspace(window[0] / 2, window[1] * 2, args.bins_per_side + 1)
     edges = np.unique(np.concatenate([center - wings, center + wings]))

@@ -530,8 +530,11 @@ def _moment(vec: np.ndarray, alpha: float) -> float:
     return float(np.sum(np.abs(vec) ** (2.0 * alpha)))
 
 
-def _projected_gradient(vec: np.ndarray, alpha: float) -> np.ndarray:
-    g = 2.0 * alpha * np.sign(vec) * np.abs(vec) ** (2.0 * alpha - 1.0)
+def _projected_gradient(vec: np.ndarray, alpha: float, scale: float = 1.0) -> np.ndarray:
+    """Tangent part of the gradient of N_alpha at the unit vector ``vec``,
+    divided by scale^(2 alpha - 1) without forming that power, which
+    underflows at large alpha."""
+    g = 2.0 * alpha * np.sign(vec) * (np.abs(vec) / scale) ** (2.0 * alpha - 1.0)
     return g - np.dot(g, vec) * vec
 
 
@@ -549,6 +552,37 @@ def _tangent_hessian_eigs(vec: np.ndarray, alpha: float) -> np.ndarray:
     return np.linalg.eigvalsh(tangent.T @ lagr @ tangent)
 
 
+def _check_critical(vec: np.ndarray, label: str, alpha: float) -> float:
+    """Norm of the projected gradient at ``vec`` after checking that ``vec``
+    is a critical point of class ``label``; ArithmeticError otherwise.
+
+    The gradient is compared with 1e-10 after division by 2 alpha
+    m^(2 alpha - 1), m = max |n_i|, the size of its largest component (the
+    Hessian's scale family): unscaled, it shrinks like m^(2 alpha - 1), and
+    a point 1e-3 off a saddle would pass an absolute test from alpha ~ 35
+    on.  The Hessian signature counts an eigenvalue's sign when it exceeds
+    1e-8 of the largest in size.
+    """
+    grad = float(np.linalg.norm(_projected_gradient(vec, alpha)))
+    m = float(np.max(np.abs(vec)))
+    relative = float(np.linalg.norm(_projected_gradient(vec, alpha, m))) / (2.0 * alpha)
+    eigs = _tangent_hessian_eigs(vec, alpha)
+    zero = 1e-8 * np.max(np.abs(eigs))
+    pos = int(np.sum(eigs > zero))
+    neg = int(np.sum(eigs < -zero))
+    if neg == 2 and pos == 0:
+        seen = "C1_max"
+    elif pos == 2 and neg == 0:
+        seen = "C3_min"
+    elif pos == 1 and neg == 1:
+        seen = "C2_saddle"
+    else:
+        seen = "degenerate"
+    if seen != label or relative > 1e-10:
+        raise ArithmeticError(f"classification failed at {vec}: grad={grad!r}, eigs={eigs!r}")
+    return grad
+
+
 def critical_points(alpha: float) -> list[CriticalPoint]:
     """The 26 critical Bloch vectors of N_alpha with verified classification.
 
@@ -556,8 +590,7 @@ def critical_points(alpha: float) -> list[CriticalPoint]:
     vectors (saddles, value 2^(1-alpha)) and eight diagonal vectors
     (minima, value 3^(1-alpha)).  Each point is checked numerically:
     projected gradient below 1e-10 and tangent Hessian signature matching
-    its class, each eigenvalue's sign counted when it exceeds 1e-8 of the
-    largest in size.  A failed check raises ArithmeticError.
+    its class (``_check_critical``).  A failed check raises ArithmeticError.
     """
     check_order(alpha)
     vectors: list[tuple[np.ndarray, str, int]] = []
@@ -579,23 +612,7 @@ def critical_points(alpha: float) -> list[CriticalPoint]:
 
     out = []
     for vec, label, mult in vectors:
-        grad = float(np.linalg.norm(_projected_gradient(vec, alpha)))
-        eigs = _tangent_hessian_eigs(vec, alpha)
-        zero = 1e-8 * np.max(np.abs(eigs))
-        pos = int(np.sum(eigs > zero))
-        neg = int(np.sum(eigs < -zero))
-        if neg == 2 and pos == 0:
-            seen = "C1_max"
-        elif pos == 2 and neg == 0:
-            seen = "C3_min"
-        elif pos == 1 and neg == 1:
-            seen = "C2_saddle"
-        else:
-            seen = "degenerate"
-        if seen != label or grad > 1e-10:
-            raise ArithmeticError(
-                f"classification failed at {vec}: grad={grad!r}, eigs={eigs!r}"
-            )
+        grad = _check_critical(vec, label, alpha)
         out.append(
             CriticalPoint(
                 bloch=BlochVector(*vec),

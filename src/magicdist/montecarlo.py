@@ -330,12 +330,20 @@ class DivergenceFit:
 MIN_FIT_POINTS = 6
 # most Poisson counts the bootstrap draws at once (8 MiB of int64)
 _BOOTSTRAP_BLOCK = 1 << 20
+# fewest resamples a bootstrap accepts: it needs max(10, n_boot // 2) fits
+MIN_BOOTSTRAP = 10
 
 
 def check_fit_window(window):
     """Raise ValueError unless ``window`` is a pair with 0 < eps_min < eps_max."""
     if len(window) != 2 or not 0.0 < window[0] < window[1]:
         raise ValueError(f"need 0 < eps_min < eps_max, got {window!r}")
+
+
+def check_bootstrap_count(n_boot: int):
+    """Raise ValueError unless ``n_boot`` is at least MIN_BOOTSTRAP resamples."""
+    if n_boot < MIN_BOOTSTRAP:
+        raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples, got {n_boot}")
 
 
 def _window_mask(x, center, window, side) -> np.ndarray:
@@ -409,6 +417,7 @@ def bootstrap_slope_ci(
     of at most ``_BOOTSTRAP_BLOCK`` counts, which equals drawing them one by
     one and bounds the memory for any ``n_boot``.
     """
+    check_bootstrap_count(n_boot)
     x = hist.centers()
     inside = _window_mask(x, center, window, side)
     t = -np.log(np.abs(x[inside] - center))
@@ -422,7 +431,7 @@ def bootstrap_slope_ci(
             keep = counts > 0
             if np.count_nonzero(keep) >= MIN_FIT_POINTS:
                 slopes.append(np.polyfit(t[keep], counts[keep] / scale[keep], 1)[0])
-    if len(slopes) < max(10, n_boot // 2):
+    if len(slopes) < max(MIN_BOOTSTRAP, n_boot // 2):
         raise InsufficientData("too many bootstrap resamples lost their bins")
     tail = (1.0 - level) / 2.0
     lo, hi = np.quantile(slopes, [tail, 1.0 - tail])

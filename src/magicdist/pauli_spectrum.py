@@ -11,14 +11,26 @@ Phases never survive the modulus, so no Y-phase convention is needed here.
 Bit 0 of a mask addresses site 0, the most significant digit of the
 amplitude index (same convention as ``statevec.tensor``).
 
-For qubit registers every |<X^a Z^b>|^2 of one mask a comes from a single
+For qubit registers every |<X^a Z^b>|^2 of one mask a comes from the
 Walsh-Hadamard transform over x of w_a(x) = conj(psi(x XOR a)) psi(x).
-The transform of length d = 2^n is the Kronecker product of Sylvester
-matrices of order at most 64, so it runs as ceil(n/6) real matrix
-products (BLAS GEMMs) rather than n butterfly passes over memory.  Each
-entry of the d x d table costs the sum of the factor orders in
-multiply-adds (64 at n = 6, 2 * 64 at n = 12), and the table is built in
-blocks of about 2^17 entries that stay in cache.
+For a != 0 with highest set bit k, w_a(x XOR a) = conj(w_a(x)): the
+transform at b is 2 R(b') when popcount(a & b) is even and 2i I(b') when
+it is odd, where R and I transform the real and the imaginary part of w_a
+over the d/2 coset representatives x with bit k clear, and b' is b without
+bit k.  So only half of each w_a is gathered, multiplied, split into its
+two planes and transformed, over n - 1 bits; the parity select puts 4 R^2
+or 4 I^2 at each b (a moment sums both planes as they are, since each b'
+has one of each over b_k = 0, 1).  The a = 0 row is the full-length
+transform of |psi|^2.  A transform of length 2^m is the Kronecker product
+of Sylvester matrices of order at most 64, so it runs as ceil(m/6) real
+matrix products (BLAS GEMMs) rather than m butterfly passes over memory.
+Each of the d^2 values then costs the sum of the factor orders of an
+(n - 1)-bit transform in multiply-adds (32 at n = 6, 32 + 64 at n = 12),
+against twice the n-bit sum for two full-length planes (128 and 256), and
+the work runs by highest-bit group in blocks of about 2^17 entries that
+stay in cache.  On one qubit, X and Y are the squares of 2 Re w_1(0) and
+2 Im w_1(0) with no transform between, and doubling is exact, so |H>
+gives N_2 = 0.5 to the bit.
 """
 from __future__ import annotations
 
@@ -135,13 +147,14 @@ def _wht_last(f: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return src
 
 
-def _xz_scratch(m: int, rows: int, d: int):
-    """Buffers for ``_xz_table`` blocks of up to ``m`` states and ``rows``
-    masks.  They are reused across blocks because fresh arrays of a MiB or
-    more would be mapped and zero-filled by the allocator on every block,
-    which costs 2-3x the kernel's time in a fresh process."""
-    entries = m * rows * d
-    return (np.empty(rows * d, dtype=np.intp), np.empty(entries, dtype=np.complex128),
+def _coset_scratch(d: int):
+    """Buffers for blocks of up to max(_SCRATCH, d) entries of ``_mask_runs``,
+    ``_diagonal_row`` and ``_coset_table``.  They are reused across blocks
+    because fresh arrays of a MiB or more would be mapped and zero-filled by
+    the allocator on every block, which costs 2-3x the kernel's time in a
+    fresh process."""
+    entries = max(_SCRATCH, d)
+    return (np.empty(entries, dtype=np.intp), np.empty(entries, dtype=np.complex128),
             np.empty(2 * entries), np.empty(2 * entries))
 
 
@@ -149,33 +162,70 @@ def _view(buf: np.ndarray, shape) -> np.ndarray:
     return buf[: math.prod(shape)].reshape(shape)
 
 
-def _xz_table(states: np.ndarray, masks: np.ndarray, scratch) -> np.ndarray:
-    """(m, len(masks), d) array of |<psi|X^a Z^b|psi>|^2 for each row psi of
-    the (m, d) ``states``, each mask a in ``masks`` and every mask b.  The
-    result lives in ``scratch`` (from ``_xz_scratch``) until the next call.
+def _mask_runs(d: int, rows: int, scratch):
+    """Yield (k, masks, index) for every mask a != 0 of a register of
+    dimension d, by highest bit k: ``masks`` is a run of at most ``rows``
+    masks of [2^k, 2^(k+1)), and row r of ``index`` holds x XOR masks[r]
+    over the d/2 representatives x, the indices with bit k clear in
+    increasing order.  ``index`` lives in ``scratch`` until the next run."""
+    x = np.arange(d // 2)
+    for k in range(d.bit_length() - 1):
+        low = (1 << k) - 1
+        reps = ((x & ~low) << 1) | (x & low)
+        for lo in range(1 << k, 2 << k, rows):
+            masks = np.arange(lo, min(lo + rows, 2 << k))
+            index = _view(scratch[0], (masks.size, x.size))
+            yield k, masks, np.bitwise_xor(masks[:, None], reps, out=index)
 
-    For each a, w_a(x) = conj(psi(x XOR a)) psi(x), and <X^a Z^b> is, up to
-    phase, the Walsh-Hadamard transform of w_a at b.  The real and the
-    imaginary plane of w_a go through one real transform (``_wht_last``)
-    and the table is f_re^2 + f_im^2.  Transforming the two planes apart,
-    not their sum, keeps a one-qubit table exact: |H> gives N_2 = 0.5.
+
+def _diagonal_row(states: np.ndarray, scratch) -> np.ndarray:
+    """(m, d) array of |<psi|Z^b|psi>|^2 (mask a = 0) for each row psi of the
+    (m, d) ``states``: the full-length transform of |psi|^2, squared, in
+    ``scratch`` until the next call."""
+    shape = states.shape
+    _, table_buf, planes_buf, spare_buf = scratch
+    table = _view(table_buf, shape)
+    np.conjugate(states, out=table)
+    table *= states
+    f = _view(planes_buf, shape)
+    np.copyto(f, table.real)
+    f = _wht_last(f, _view(spare_buf, shape))
+    return np.square(f, out=f)
+
+
+def _coset_table(states: np.ndarray, k: int, index: np.ndarray, scratch) -> np.ndarray:
+    """(2, m, rows, d/2) planes 4 R^2 and 4 I^2 for each row psi of the
+    (m, d) ``states`` and each of the ``rows`` masks a of one run of
+    ``_mask_runs`` (highest bit k, gather ``index``).  The result lives in
+    ``scratch`` until the next call.
+
+    With w_a(x) = conj(psi(x XOR a)) psi(x), w_a(x XOR a) = conj(w_a(x)), so
+    for a of highest bit k, <X^a Z^b> is, up to phase, 2 R(b') when
+    popcount(a & b) is even and 2 I(b') when it is odd: R and I are the
+    Walsh-Hadamard transforms (``_wht_last``) of the real and the imaginary
+    plane of w_a over the d/2 representatives x with bit k clear, and b' is
+    b without bit k.  The table holds conj(w_a) = psi(x XOR a) conj(psi(x)),
+    which has the same squares, so only psi at the representatives is
+    conjugated, not the gathered table.
     """
-    m, d = states.shape
-    shape = (m, masks.size, d)
-    index_buf, table_buf, planes_buf, spare_buf = scratch
-    index = _view(index_buf, shape[1:])
-    np.bitwise_xor(masks[:, None], np.arange(d), out=index)
+    m = states.shape[0]
+    rows, half = index.shape
+    shape = (m, rows, half)
+    _, table_buf, planes_buf, spare_buf = scratch
     # the table is row-major, so later reductions run in a fixed order
     table = _view(table_buf, shape)
     np.take(states, index, axis=1, out=table, mode="clip")
-    np.conjugate(table, out=table)
-    table *= states[:, None, :]
+    # conj(psi) at the representatives, in the spare buffer until the transform
+    conj_reps = _view(spare_buf.view(np.complex128), (m, 1, half))
+    np.conjugate(states.reshape(m, 1, -1, 2, 1 << k)[:, :, :, 0, :],
+                 out=conj_reps.reshape(m, 1, -1, 1 << k))
+    table *= conj_reps
+    # doubling is exact, so the squares below are 4 R^2 and 4 I^2 to the bit
     planes = _view(planes_buf, (2, *shape))
-    planes[0] = table.real
-    planes[1] = table.imag
+    np.multiply(table.real, 2.0, out=planes[0])
+    np.multiply(table.imag, 2.0, out=planes[1])
     f = _wht_last(planes, _view(spare_buf, planes.shape))
-    np.square(f, out=f)
-    return np.add(f[0], f[1], out=f[0])
+    return np.square(f, out=f)
 
 
 def check_spectrum_size(local_dim: int, num_sites: int):
@@ -192,13 +242,21 @@ def pauli_spectrum_fast(s: PureState) -> PauliSpectrum:
         raise UseWeylPath("fast Pauli path is qubit-only; call weyl_spectrum")
     check_spectrum_size(2, s.num_sites)
     d = s.dim
-    masks = np.arange(d)
+    psi = s.amplitudes[None, :]
+    scratch = _coset_scratch(d)
     mods = np.empty(d * d)
-    rows = max(1, _SCRATCH // d)
-    scratch = _xz_scratch(1, rows, d)
-    for lo in range(0, d, rows):
-        hi = min(d, lo + rows)
-        mods[lo * d : hi * d] = _xz_table(s.amplitudes[None, :], masks[lo:hi], scratch).reshape(-1)
+    mods[:d] = _diagonal_row(psi, scratch)[0]
+    low_bits = np.arange(d // 2, dtype=np.min_scalar_type(d))
+    for k, masks, index in _mask_runs(d, max(1, _SCRATCH // (d // 2)), scratch):
+        shape = (masks.size, -1, 1 << k)
+        even, odd = (p.reshape(shape) for p in _coset_table(psi, k, index, scratch)[:, 0])
+        # b = (bits above k, b_k, bits below k): popcount(a & b) is odd where
+        # exactly one of popcount(a & b_low) and b_k is
+        a = masks.astype(low_bits.dtype)[:, None, None]
+        flip = (np.bitwise_count(a & low_bits[: 1 << k]) & 1).view(bool)
+        out = mods[masks[0] * d : (masks[-1] + 1) * d].reshape(masks.size, -1, 2, 1 << k)
+        out[:, :, 0] = np.where(flip, odd, even)
+        out[:, :, 1] = np.where(flip, even, odd)
     # read-only, so PauliSpectrum keeps this buffer rather than a copy
     mods.setflags(write=False)
     return PauliSpectrum(mods[1:], 2, s.num_sites)
@@ -428,25 +486,30 @@ def expectation(s: PureState, obs: np.ndarray) -> float:
 def pauli_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
     """N_alpha for each row of a (m, 2^n) array of qubit-register states."""
     m, d = states.shape
-    # blocks of (state, mask) pairs hold about _SCRATCH entries: whole states
-    # while d^2 fits, else a run of masks of one state
-    pairs = max(1, _SCRATCH // d)
-    batch = max(1, pairs // d)
-    step = min(d, pairs)
-    masks = np.arange(d)
-    scratch = _xz_scratch(min(m, batch), step, d)
+    scratch = _coset_scratch(d)
+
+    def moment(mods):
+        mods = mods.reshape(mods.shape[0], -1)
+        if alpha == 2.0:
+            return np.einsum("bk,bk->b", mods, mods)
+        return _power_sum(mods, alpha, axis=1)
+
+    # every block holds about _SCRATCH entries: as many whole states as fit,
+    # or one state and a run of its masks
     out = np.empty(m)
-    for i in range(0, m, batch):
-        acc = 0.0
-        for lo in range(0, d, step):
-            mods = _xz_table(states[i : i + batch], masks[lo : lo + step], scratch)
-            mods = mods.reshape(mods.shape[0], -1)
-            if alpha == 2.0:
-                acc = acc + np.einsum("bk,bk->b", mods, mods)
-            else:
-                acc = acc + _power_sum(mods, alpha, axis=1)
-        out[i : i + batch] = acc - 1.0
-    return out
+    step = max(1, _SCRATCH // d)
+    for i in range(0, m, step):
+        out[i : i + step] = moment(_diagonal_row(states[i : i + step], scratch))
+    rows = max(1, _SCRATCH // (d // 2))
+    for k, masks, index in _mask_runs(d, rows, scratch):
+        step = max(1, rows // masks.size)
+        for i in range(0, m, step):
+            # each b' holds one 4 R^2 and one 4 I^2 over b_k = 0, 1, so both
+            # planes sum as they are
+            even, odd = _coset_table(states[i : i + step], k, index, scratch)
+            out[i : i + step] += moment(even)
+            out[i : i + step] += moment(odd)
+    return out - 1.0
 
 
 def weyl_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:

@@ -474,6 +474,10 @@ REJECTED = [
     (["reproduce-figures", "--only", "nosuchfig"], 2),
     (["sample", "--threads", "0"], 2),
     (["sample", "--threads", "-3"], 2),
+    # a bootstrap needs at least 10 resamples to keep max(10, n // 2) fits
+    (["fit-divergence", "--samples", "200000", "--bootstrap", "5"], 2),
+    (["fit-divergence", "--samples", "200000", "--bootstrap", "0"], 2),
+    (["fit-divergence", "--samples", "200000", "--bootstrap", "-3"], 2),
 ]
 
 

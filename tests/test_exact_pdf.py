@@ -234,6 +234,18 @@ class TestCriticalPoints:
             with pytest.raises(InvalidOrder):
                 critical_points(alpha)
 
+    @pytest.mark.parametrize("alpha", [2.0, 25.0, 50.0])
+    def test_gradient_check_is_relative(self, alpha):
+        # 1e-3 along the great circle off the (1, 1, 0)/sqrt(2) saddle: the
+        # Hessian still reads a saddle, and the unscaled gradient is 1.7e-14
+        # at alpha = 50, so only a relative gradient check refuses the point
+        saddle = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        along = np.array([1.0, -1.0, 0.0]) / math.sqrt(2.0)
+        assert exact_pdf._check_critical(saddle, "C2_saddle", alpha) < 1e-10
+        with pytest.raises(ArithmeticError):
+            exact_pdf._check_critical(saddle * math.cos(1e-3) + along * math.sin(1e-3),
+                                      "C2_saddle", alpha)
+
     def test_saddle_values(self):
         assert n_critical(2.0) == pytest.approx(0.5)
         assert n_critical(4.0) == pytest.approx(0.125)

@@ -437,6 +437,16 @@ class TestDivergenceFit:
         assert lo < fit.slope < hi
         assert hi - lo < 0.05
 
+    @pytest.mark.parametrize("n_boot", [9, 5, 0, -3])
+    def test_bootstrap_count_below_ten_is_refused(self, monkeypatch, n_boot):
+        # max(10, n_boot // 2) fits can never come from fewer than 10 resamples
+        def refuse(*args, **kwargs):
+            raise AssertionError("resampled before refusing the count")
+
+        monkeypatch.setattr(montecarlo, "SeededRng", refuse)
+        with pytest.raises(ValueError, match="at least 10"):
+            bootstrap_slope_ci(synthetic_log_histogram(), 0.5, (1e-4, 2e-2), n_boot=n_boot)
+
     def test_one_poisson_call_equals_sequential_calls(self):
         lam = synthetic_log_histogram(total=3000).counts.astype(float)
         block = SeededRng(5, 0).generator().poisson(lam, size=(40, lam.size))

@@ -92,9 +92,10 @@ class TestQubitSpectra:
             s = haar_sample(2**n, SeededRng(seed, n))
             assert np.max(np.abs(pauli_spectrum_fast(s).values - kron_spectrum(s))) < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_fast_matches_naive(self, n):
-        for seed in range(10):
+        # the naive oracle costs O(8^n): three states from four qubits on
+        for seed in range(10 if n <= 3 else 3):
             s = haar_sample(2**n, SeededRng(seed, 10 + n))
             f = pauli_spectrum_fast(s).values
             g = pauli_spectrum_naive(s).values
@@ -133,6 +134,42 @@ class TestQubitSpectra:
         s = haar_sample(2**12, SeededRng(12, 7))
         spec = pauli_spectrum_fast(s)
         assert spec.values.sum() == pytest.approx(2**12 - 1, abs=1e-9)
+
+
+def explicit_entry(psi, a, b):
+    """|sum_x (-1)^popcount(b & x) conj(psi(x XOR a)) psi(x)|^2, summed directly."""
+    x = np.arange(psi.size)
+    signs = 1.0 - 2.0 * (np.bitwise_count(b & x) & 1)
+    return abs(np.sum(signs * np.conj(psi[x ^ a]) * psi)) ** 2
+
+
+class TestCosetLayout:
+    """The coset-halved kernel against oracles that share none of its code."""
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_entries_match_explicit_sum(self, n):
+        # every highest-bit group k: its first, last and a random mask, each
+        # with b on both sides of bit k, plus the a = 0 row
+        d = 2**n
+        s = haar_sample(d, SeededRng(n, 31))
+        spec = pauli_spectrum_fast(s)
+        rng = np.random.default_rng(n)
+        pairs = [(0, int(b)) for b in rng.integers(1, d, size=4)]
+        for k in range(n):
+            for a in (1 << k, (2 << k) - 1, int(rng.integers(1 << k, 2 << k))):
+                for b in rng.integers(0, d, size=3):
+                    pairs += [(a, int(b) & ~(1 << k)), (a, int(b) | (1 << k))]
+        for a, b in pairs:
+            assert spec.value(a, b) == pytest.approx(explicit_entry(s.amplitudes, a, b), abs=1e-12)
+
+    def test_moment_batch_matches_naive_sums(self):
+        for n in range(2, 7):
+            states = haar_block(2**n, SeededRng(n, 41), 2)
+            spectra = [pauli_spectrum_naive(PureState(row, 2, n)).values for row in states]
+            for alpha in (1.5, 2.0, 3.0):
+                batched = pauli_moment_batch(states, alpha)
+                expected = [np.sum(v**alpha) for v in spectra]
+                np.testing.assert_allclose(batched, expected, rtol=0, atol=1e-12)
 
 
 class TestWalshHadamard:
