@@ -31,8 +31,8 @@ from .errors import (
     SingularPoint,
     SupportViolation,
 )
-from .pauli_spectrum import check_order, check_spectrum_size, magic_report
-from .pauli_spectrum import pauli_spectrum_fast, weyl_spectrum
+from .pauli_spectrum import _report, check_order, check_spectrum_size, pauli_moment_batch
+from .pauli_spectrum import pauli_spectrum_fast, weyl_moment_batch
 from .statevec import BlochVector, SeededRng, from_bloch, haar_sample, register_shape
 from .statevec import state_from_amplitudes
 
@@ -80,9 +80,11 @@ def _floats(text: str, flag: str, count: int | None = None) -> list[float]:
 
 
 def _parse_state(args):
+    """(local_dim, num_sites) of the requested state and a function that
+    returns the state; a Haar state is drawn only when it is called."""
     if args.bloch:
-        return from_bloch(BlochVector(*_floats(args.bloch, "--bloch", 3)))
-    if args.amplitudes:
+        state = from_bloch(BlochVector(*_floats(args.bloch, "--bloch", 3)))
+    elif args.amplitudes:
         parts = _floats(args.amplitudes, "--amplitudes")
         if len(parts) % 2:
             raise ValueError("--amplitudes needs re,im pairs")
@@ -90,20 +92,27 @@ def _parse_state(args):
         norm = np.linalg.norm(amps)
         if norm == 0:
             raise ValueError("--amplitudes must not all be zero")
-        return state_from_amplitudes(amps / norm, local_dim=args.local_dim)
-    if args.haar:
-        # the whole request is checked before the draw
-        local_dim, n_sites = register_shape(args.dim, args.local_dim or None)
-        check_spectrum_size(local_dim, n_sites)
-        check_order(args.alpha)
-        return haar_sample(args.dim, SeededRng(args.seed), local_dim=local_dim)
-    raise ValueError("state required: --bloch, --amplitudes or --haar")
+        state = state_from_amplitudes(amps / norm, local_dim=args.local_dim)
+    elif args.haar:
+        shape = register_shape(args.dim, args.local_dim or None)
+        return shape, lambda: haar_sample(args.dim, SeededRng(args.seed), local_dim=shape[0])
+    else:
+        raise ValueError("state required: --bloch, --amplitudes or --haar")
+    return (state.local_dim, state.num_sites), lambda: state
 
 
 def cmd_measure(args) -> int:
-    state = _parse_state(args)
-    spec = weyl_spectrum(state) if state.local_dim != 2 else pauli_spectrum_fast(state)
-    report = magic_report(spec, args.alpha, state=state)
+    (local_dim, n_sites), make_state = _parse_state(args)
+    # every state source is checked before the draw and the kernel
+    check_spectrum_size(local_dim, n_sites)
+    check_order(args.alpha)
+    state = make_state()
+    # the batch kernels reduce the state block by block and never hold its d^2 values
+    kernel = pauli_moment_batch if local_dim == 2 else weyl_moment_batch
+    n_alpha = float(kernel(state.amplitudes[None, :], args.alpha)[0])
+    # one qubit: the incompatibility reads its three spectrum values
+    squares = pauli_spectrum_fast(state).values if state.dim == 2 else None
+    report = _report(n_alpha, args.alpha, state.dim, squares, state)
     m_val = report.m_alpha / math.log(2.0) if args.bits else report.m_alpha
     payload = {
         "alpha": report.alpha,

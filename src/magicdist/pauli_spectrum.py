@@ -98,7 +98,7 @@ class PauliSpectrum:
 
 @dataclass(frozen=True)
 class MagicReport:
-    """Bundle of the scalar measures derived from one spectrum."""
+    """Bundle of the scalar measures derived from N_alpha of one state."""
 
     alpha: float
     n_alpha: float
@@ -411,14 +411,22 @@ def magic_report(spec: PauliSpectrum, alpha: float, state: PureState | None = No
     single qubit at integer alpha.
     """
     check_order(alpha)
-    d = spec.dim
     # blocks bound the power's temporary; a spectrum of n <= 10 qubits is one block
     vals = spec.values
     n_alpha = float(sum(_power_sum(vals[i : i + _POWER_SUM_BLOCK], alpha)
                         for i in range(0, vals.size, _POWER_SUM_BLOCK)))
+    return _report(n_alpha, alpha, spec.dim, vals, state)
+
+
+def _report(n_alpha: float, alpha: float, d: int, squares,
+            state: PureState | None) -> MagicReport:
+    """The report of N_alpha on dimension d: ``magic_report`` and ``magicdist
+    measure`` both end here.  At d = 2 and integer alpha the incompatibility
+    comes from ``squares``, the three one-qubit spectrum values; a
+    qubit-register ``state`` adds its coherence."""
     gamma = None
     if d == 2 and _is_integer(alpha):
-        gamma = _incompatibility(spec.values, alpha)
+        gamma = _incompatibility(squares, alpha)
     coh = None
     if state is not None and state.local_dim == 2:
         coh = coherence_l1(state)
@@ -499,7 +507,9 @@ def pauli_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
     out = np.empty(m)
     step = max(1, _SCRATCH // d)
     for i in range(0, m, step):
-        out[i : i + step] = moment(_diagonal_row(states[i : i + step], scratch))
+        # column 0 is the identity's term (sum |psi|^2)^(2 alpha) = 1; summed
+        # and then subtracted, it would cost a small N_alpha its relative precision
+        out[i : i + step] = moment(_diagonal_row(states[i : i + step], scratch)[:, 1:])
     rows = max(1, _SCRATCH // (d // 2))
     for k, masks, index in _mask_runs(d, rows, scratch):
         step = max(1, rows // masks.size)
@@ -509,7 +519,7 @@ def pauli_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
             even, odd = _coset_table(states[i : i + step], k, index, scratch)
             out[i : i + step] += moment(even)
             out[i : i + step] += moment(odd)
-    return out - 1.0
+    return out
 
 
 def weyl_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:

@@ -1,11 +1,14 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
 
-from magicdist import exact_pdf, montecarlo, statevec, svgplot
+from magicdist import cli, exact_pdf, montecarlo, statevec, svgplot
 from magicdist.cli import main
+from magicdist.pauli_spectrum import magic_report, pauli_moment_batch, pauli_spectrum_fast
+from magicdist.pauli_spectrum import weyl_moment_batch, weyl_spectrum
 
 
 def run_cli(capsys, *argv):
@@ -61,6 +64,71 @@ class TestMeasure:
         doc = json.loads(out)
         assert doc["dim"] == 3
         assert doc["gamma_alpha"] is None
+
+    @pytest.mark.parametrize("dim, local_dim, kernel", [
+        (4, 2, pauli_moment_batch), (64, 2, pauli_moment_batch), (1024, 2, pauli_moment_batch),
+        (3, 3, weyl_moment_batch), (16, 16, weyl_moment_batch),
+    ])
+    def test_haar_n_alpha_is_the_batch_kernel(self, capsys, dim, local_dim, kernel):
+        code, out = run_cli(capsys, "measure", "--haar", "--dim", str(dim),
+                            "--local-dim", str(local_dim), "--seed", "17")
+        assert code == 0
+        s = statevec.haar_sample(dim, statevec.SeededRng(17), local_dim=local_dim)
+        assert json.loads(out)["n_alpha"] == float(kernel(s.amplitudes[None, :], 2.0)[0])
+
+    @pytest.mark.parametrize("local_dim, sizes", [(2, range(1, 13)), (3, [3]), (16, [16])])
+    def test_agrees_with_the_full_spectrum(self, capsys, local_dim, sizes):
+        # the moment kernel against the report of every d^2 value
+        for n_or_q in sizes:
+            dim = 2**n_or_q if local_dim == 2 else n_or_q
+            s = statevec.haar_sample(dim, statevec.SeededRng(n_or_q), local_dim=local_dim)
+            spec = pauli_spectrum_fast(s) if local_dim == 2 else weyl_spectrum(s)
+            for alpha in (1.5, 2.0, 3.0):
+                code, out = run_cli(capsys, "measure", "--haar", "--dim", str(dim),
+                                    "--local-dim", str(local_dim), "--seed", str(n_or_q),
+                                    "--alpha", str(alpha))
+                assert code == 0
+                doc = json.loads(out)
+                report = magic_report(spec, alpha, state=s)
+                n_ref = report.n_alpha
+                assert abs(doc["n_alpha"] - n_ref) <= 1e-13 * n_ref
+                for key in ("xi_alpha", "m_alpha", "m_lin"):
+                    assert doc[key] == pytest.approx(getattr(report, key), rel=1e-13, abs=0)
+                # read by one formula on both routes, so bit for bit
+                assert doc["gamma_alpha"] == report.gamma_alpha
+                assert doc["coherence"] == report.coherence
+
+    @pytest.mark.parametrize("source, alpha", [
+        (["--bloch", "0.57735026919,0.57735026919,0.57735026919"], 40.0),
+        (["--haar", "--dim", "1024", "--seed", "9"], 8.0),
+    ])
+    def test_small_n_alpha_keeps_its_relative_precision(self, capsys, source, alpha):
+        # N_40 of the T state is 3^-39 ~ 2.5e-19 and N_8 of this ten-qubit Haar
+        # state 1.5e-12: far below the identity's term of 1, which the kernel
+        # must leave out rather than subtract
+        code, out = run_cli(capsys, "measure", *source, "--alpha", str(alpha))
+        assert code == 0
+        n_alpha = json.loads(out)["n_alpha"]
+        if source[0] == "--bloch":
+            s = statevec.from_bloch(statevec.BlochVector(*[0.57735026919] * 3))
+        else:
+            s = statevec.haar_sample(1024, statevec.SeededRng(9))
+        n_ref = magic_report(pauli_spectrum_fast(s), alpha).n_alpha
+        assert n_alpha > 0
+        assert abs(n_alpha - n_ref) <= 1e-13 * n_ref
+
+    def test_twelve_qubits_hold_no_d2_array(self, tmp_path):
+        # a 12-qubit spectrum is 128 MiB; the kernel's blocks take about 7
+        out = tmp_path / "measure.json"
+        tracemalloc.start()
+        try:
+            code = main(["measure", "--haar", "--dim", "4096", "--seed", "5", "-o", str(out)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 16 * 2**20
+        assert json.loads(out.read_text())["dim"] == 4096
 
 
 class TestExactPdf:
@@ -466,6 +534,10 @@ REJECTED = [
     (["measure", "--haar", "--dim", "100000", "--local-dim", "100000"], 4),
     (["measure", "--amplitudes", "0,0"], 2),
     (["measure", "--bloch", "nan,0,0"], 2),
+    # the guards hold for every state source, not only --haar
+    (["measure", "--amplitudes", ",".join(["1,0"] * 17), "--local-dim", "17"], 4),
+    (["measure", "--amplitudes", "1,0,0,0", "--alpha", "inf"], 3),
+    (["measure", "--amplitudes", "1,0" + ",0,0" * (2**15 - 1)], 4),  # 15 qubits
     (["sample", "--window", "nan,1"], 2),
     (["sample", "--window", "0,inf"], 2),
     (["reproduce-figures", "--scale", "-1"], 2),
@@ -481,7 +553,12 @@ REJECTED = [
 ]
 
 
-@pytest.mark.parametrize("argv, code", REJECTED, ids=[" ".join(a) for a, _ in REJECTED])
+def _argv_id(argv) -> str:
+    # an amplitude list of a large register stands in by its length
+    return " ".join(a if len(a) <= 100 else f"<{len(a)} characters>" for a in argv)
+
+
+@pytest.mark.parametrize("argv, code", REJECTED, ids=[_argv_id(a) for a, _ in REJECTED])
 def test_rejected_before_any_draw(capsys, monkeypatch, tmp_path, argv, code):
     draws = []
 
@@ -493,6 +570,9 @@ def test_rejected_before_any_draw(capsys, monkeypatch, tmp_path, argv, code):
 
     for module in (montecarlo, statevec):
         monkeypatch.setattr(module, "haar_block", recorded(module.haar_block))
+    # nor does any kernel of measure run
+    for name in ("pauli_moment_batch", "weyl_moment_batch", "pauli_spectrum_fast"):
+        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
     outdir = tmp_path / "figures"
     if argv[0] == "reproduce-figures":
         argv = [*argv, "--outdir", str(outdir)]

@@ -81,6 +81,10 @@ SINGLE_FILE = [
     ("measure_two_qubits.json", ["measure", "--haar", "--dim", "4", "--seed", "5"]),
     # a ten-qubit spectrum spans many kernel blocks
     ("measure_ten_qubits.json", ["measure", "--haar", "--dim", "1024", "--seed", "5"]),
+    ("measure_twelve_qubits.json", ["measure", "--haar", "--dim", "4096", "--seed", "5"]),
+    # an order other than 2 takes the moment kernel's power sum, not einsum
+    ("measure_six_qubits_alpha3.json", ["measure", "--haar", "--dim", "64", "--seed", "5",
+                                        "--alpha", "3"]),
     ("sample_n_sites6.csv", ["sample", "--sites", "6", "--samples", "5000", "--seed", "3"]),
     ("critical_alpha2.json", ["critical-points", "--alpha", "2"]),
     ("critical_alpha4.json", ["critical-points", "--alpha", "4"]),
