@@ -399,6 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if hasattr(args, "threads"):  # every command that takes --threads, sampling or not
+            montecarlo.check_threads(args.threads)
         return args.func(args)
     except (NotImplementedError, InvalidOrder) as exc:
         print(f"unsupported parameter: {exc}", file=sys.stderr)

@@ -56,7 +56,7 @@ from scipy.special import roots_legendre
 
 from .errors import InvalidSpectrum, SingularPoint
 from .bessel import j0
-from .pauli_spectrum import check_order, measure_from_n, n_from_measure
+from .pauli_spectrum import check_order, measure_from_n, n_from_measure, support_for
 from .statevec import BlochVector
 
 DIVERGENCE_SLOPE_N2 = 3.0 / (math.sqrt(2.0) * math.pi)  # 0.675237...
@@ -108,14 +108,6 @@ def xi_critical(alpha: float) -> float:
 
 def m_critical(alpha: float) -> float:
     return float(measure_from_n(n_critical(alpha), "m", alpha, 2))
-
-
-def support_for(variable: str, alpha: float = 2.0) -> tuple[float, float]:
-    """Closed support of the named single-qubit density: "n", "xi", "m" or "mlin"."""
-    ends = (measure_from_n(n, variable.lower(), alpha, 2) for n in (3.0 ** (1.0 - alpha), 1.0))
-    # + 0.0 turns the entropy's -0.0 at N = 1 into +0.0
-    lo, hi = sorted(float(v) + 0.0 for v in ends)
-    return lo, hi
 
 
 @dataclass(frozen=True)
@@ -656,45 +648,21 @@ class PdfCurve:
         if np.any(y < 0):
             raise ValueError("densities must be non-negative")
 
-    @property
-    def points(self) -> np.ndarray:
-        return np.column_stack([self.abscissas, self.densities])
-
-    def _blocks(self):
-        """Split tabulation at the gaps that straddle singular points."""
-        cuts = [0]
-        for c in self.singular_points:
-            right = int(np.searchsorted(self.abscissas, c))
-            if 0 < right < self.abscissas.size:
-                cuts.append(right)
-        cuts.append(self.abscissas.size)
-        return [(cuts[i], cuts[i + 1]) for i in range(len(cuts) - 1)]
-
-    def _gap_model(self, c: float, lo_idx: int, hi_idx: int):
-        """Fit density ~ -s ln|x-c| + b from the six points on each side of the gap."""
-        xs, ys = [], []
-        for sel in (slice(max(lo_idx - 6, 0), lo_idx), slice(hi_idx, hi_idx + 6)):
-            xs.append(self.abscissas[sel])
-            ys.append(self.densities[sel])
-        t = -np.log(np.abs(np.concatenate(xs) - c))
-        y = np.concatenate(ys)
-        slope, intercept = np.polyfit(t, y, 1)
-        return float(slope), float(intercept)
-
     def integral(self) -> float:
-        """Trapezoid over the tabulation plus the modeled singular gaps."""
+        """Trapezoid over the tabulation, split at the gaps that straddle the
+        singular points, plus each gap under density ~ -s ln|x - c| + b,
+        fitted to the six points on each side of it."""
+        x, y = self.abscissas, self.densities
+        gaps = [(c, r) for c in self.singular_points
+                if 0 < (r := int(np.searchsorted(x, c))) < x.size]
+        cuts = [0, *(r for _, r in gaps), x.size]
         total = 0.0
-        blocks = self._blocks()
-        for lo, hi in blocks:
-            total += float(np.trapezoid(self.densities[lo:hi], self.abscissas[lo:hi]))
-        for c in self.singular_points:
-            right = int(np.searchsorted(self.abscissas, c))
-            if not 0 < right < self.abscissas.size:
-                continue
-            g_lo = c - self.abscissas[right - 1]
-            g_hi = self.abscissas[right] - c
-            slope, intercept = self._gap_model(c, right, right)
-            for g in (g_lo, g_hi):
+        for lo, hi in zip(cuts[:-1], cuts[1:]):
+            total += float(np.trapezoid(y[lo:hi], x[lo:hi]))
+        for c, r in gaps:
+            near = slice(max(r - 6, 0), r + 6)
+            slope, intercept = np.polyfit(-np.log(np.abs(x[near] - c)), y[near], 1)
+            for g in (c - x[r - 1], x[r] - c):
                 if g > 0:
                     total += g * (intercept + slope * (1.0 - math.log(g)))
         return total

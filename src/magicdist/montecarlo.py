@@ -29,9 +29,9 @@ from .errors import (
     SupportMismatch,
     SupportViolation,
 )
-from .exact_pdf import PdfCurve, support_for
-from .pauli_spectrum import MAX_LOCAL_DIM, _coherence_rows, _power_sum, check_order
-from .pauli_spectrum import hermitian_observable, measure_from_n
+from .exact_pdf import PdfCurve
+from .pauli_spectrum import MAX_LOCAL_DIM, _coherence_rows, check_order, hermitian_observable
+from .pauli_spectrum import measure_from_n, support_for
 from .pauli_spectrum import pauli_moment_batch, weyl_moment_batch
 from .statevec import SeededRng, haar_block
 
@@ -76,32 +76,8 @@ def _measure_chunk(states, measure, alpha, q, n_sites, observable):
     if measure == "observable":
         vals = np.einsum("bi,ij,bj->b", states.conj(), observable, states)
         return vals.real
-    if q == 2 and n_sites == 1:
-        # Bloch components (2 Re z, 2 Im z, |a0|^2 - |a1|^2), z = conj(a0) a1,
-        # as the rows of one buffer, squared and normalised in place; every
-        # sum keeps its order, so the bits are those of the row-wise form.
-        # The columns are contiguous for haar_block's plane-major d = 2 block.
-        a0, a1 = states[:, 0], states[:, 1]
-        z = np.conj(a0) * a1
-        comp_sq = np.empty((3, states.shape[0]))
-        np.multiply(z.real, 2, out=comp_sq[0])
-        np.multiply(z.imag, 2, out=comp_sq[1])
-        np.square(a0.real, out=comp_sq[2])
-        comp_sq[2] += np.square(a0.imag)
-        comp_sq[2] -= np.square(a1.real)
-        comp_sq[2] -= np.square(a1.imag)
-        np.square(comp_sq, out=comp_sq)
-        # exact normalization of the Bloch vector keeps N inside its support
-        total = comp_sq[0] + comp_sq[1]
-        total += comp_sq[2]
-        comp_sq /= total
-        n_vals = _power_sum(comp_sq, alpha, axis=0)
-        np.clip(n_vals, *support_for("n", alpha), out=n_vals)
-    elif q == 2:
-        n_vals = pauli_moment_batch(states, alpha)
-    else:
-        n_vals = weyl_moment_batch(states, alpha)
-    return measure_from_n(n_vals, measure, alpha, q**n_sites)
+    kernel = pauli_moment_batch if q == 2 else weyl_moment_batch
+    return measure_from_n(kernel(states, alpha), measure, alpha, q**n_sites)
 
 
 def _default_observable(d: int, observable):
@@ -130,6 +106,14 @@ def _in_order(work, n_chunks: int, threads: int):
         pool.shutdown(cancel_futures=True)
 
 
+def check_threads(threads: int):
+    """Raise ValueError below 1 worker thread and ResourceLimit above MAX_THREADS."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if threads > MAX_THREADS:
+        raise ResourceLimit(f"thread guard: threads <= {MAX_THREADS}, got {threads}")
+
+
 def _check_request(measure, alpha, q, n_sites, n_samples, observable, threads):
     """Validate a sampling request; return (measure, d, observable matrix or None)."""
     measure = canonical_measure(measure)
@@ -138,10 +122,7 @@ def _check_request(measure, alpha, q, n_sites, n_samples, observable, threads):
     if measure in ("n", "xi", "m", "mlin"):
         check_order(alpha)
     _check_guards(q, n_sites)
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
-    if threads > MAX_THREADS:
-        raise ResourceLimit(f"thread guard: threads <= {MAX_THREADS}, got {threads}")
+    check_threads(threads)
     d = q**n_sites
     obs = _default_observable(d, observable) if measure == "observable" else None
     return measure, d, obs

@@ -28,9 +28,16 @@ Each of the d^2 values then costs the sum of the factor orders of an
 (n - 1)-bit transform in multiply-adds (32 at n = 6, 32 + 64 at n = 12),
 against twice the n-bit sum for two full-length planes (128 and 256), and
 the work runs by highest-bit group in blocks of about 2^17 entries that
-stay in cache.  On one qubit, X and Y are the squares of 2 Re w_1(0) and
-2 Im w_1(0) with no transform between, and doubling is exact, so |H>
-gives N_2 = 0.5 to the bit.
+stay in cache.  In ``pauli_spectrum_fast`` on one qubit, X and Y are the
+squares of 2 Re w_1(0) and 2 Im w_1(0) with no transform between, and
+doubling is exact, so |H> gives N_2 = 0.5 to the bit.
+
+The batch kernel ``pauli_moment_batch`` routes d = 2 around the cosets:
+it squares the Bloch components of ``statevec.bloch_components`` in
+place, divides them by their sum and clips N_alpha into
+``support_for("n", alpha)``.  That is the one one-qubit kernel: the
+sampler runs it on every chunk and ``magicdist measure`` on one state, so
+both give the same bits.
 """
 from __future__ import annotations
 
@@ -47,7 +54,7 @@ from .errors import (
     ResourceLimit,
     UseWeylPath,
 )
-from .statevec import PureState, to_bloch
+from .statevec import PureState, bloch_components, to_bloch
 
 FAST_MAX_SITES = 14
 NAIVE_MAX_SITES = 6
@@ -403,6 +410,14 @@ def n_from_measure(value, measure: str, alpha: float, d: int):
     raise ValueError(f"unknown measure {measure!r}")
 
 
+def support_for(variable: str, alpha: float = 2.0) -> tuple[float, float]:
+    """Closed support of the named single-qubit density: "n", "xi", "m" or "mlin"."""
+    ends = (measure_from_n(n, variable.lower(), alpha, 2) for n in (3.0 ** (1.0 - alpha), 1.0))
+    # + 0.0 turns the entropy's -0.0 at N = 1 into +0.0
+    lo, hi = sorted(float(v) + 0.0 for v in ends)
+    return lo, hi
+
+
 def magic_report(spec: PauliSpectrum, alpha: float, state: PureState | None = None) -> MagicReport:
     """N_alpha, stabilizer purity, SRE (nats) and linear SRE from a spectrum.
 
@@ -492,8 +507,21 @@ def expectation(s: PureState, obs: np.ndarray) -> float:
 
 
 def pauli_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
-    """N_alpha for each row of a (m, 2^n) array of qubit-register states."""
+    """N_alpha for each row of a (m, 2^n) array of qubit-register states.
+
+    One qubit has no transform: the squared Bloch components are normalised
+    by their sum, so N_alpha lies in ``support_for("n", alpha)`` up to
+    rounding, which the clip removes.
+    """
     m, d = states.shape
+    if d == 2:
+        comp_sq = bloch_components(states)
+        np.square(comp_sq, out=comp_sq)
+        total = comp_sq[0] + comp_sq[1]
+        total += comp_sq[2]
+        comp_sq /= total
+        n_vals = _power_sum(comp_sq, alpha, axis=0)
+        return np.clip(n_vals, *support_for("n", alpha), out=n_vals)
     scratch = _coset_scratch(d)
 
     def moment(mods):

@@ -185,13 +185,32 @@ def from_bloch(b: BlochVector) -> PureState:
     return PureState(amps / np.linalg.norm(amps), 2, 1).canonicalized()
 
 
+def bloch_components(states: np.ndarray) -> np.ndarray:
+    """(3, m) array of the Bloch components (2 Re z, 2 Im z, |a0|^2 - |a1|^2),
+    z = conj(a0) a1, of each row (a0, a1) of the (m, 2) ``states``.
+
+    These expressions are the one-qubit moment kernel's
+    (``pauli_spectrum.pauli_moment_batch``), which the seeded outputs are
+    pinned to bit for bit.  Each component is a contiguous row, built from
+    contiguous columns for ``haar_block``'s plane-major d = 2 block.
+    """
+    a0, a1 = states[:, 0], states[:, 1]
+    z = np.conj(a0) * a1
+    comp = np.empty((3, states.shape[0]))
+    np.multiply(z.real, 2, out=comp[0])
+    np.multiply(z.imag, 2, out=comp[1])
+    np.square(a0.real, out=comp[2])
+    comp[2] += np.square(a0.imag)
+    comp[2] -= np.square(a1.real)
+    comp[2] -= np.square(a1.imag)
+    return comp
+
+
 def to_bloch(s: PureState) -> BlochVector:
     """(<X>, <Y>, <Z>) of a single-qubit state."""
     if s.dim != 2:
         raise DimensionMismatch(f"to_bloch needs d=2, got d={s.dim}")
-    a0, a1 = s.amplitudes
-    z = np.conj(a0) * a1
-    return BlochVector(2 * z.real, 2 * z.imag, float(abs(a0) ** 2 - abs(a1) ** 2))
+    return BlochVector(*bloch_components(s.amplitudes[None, :])[:, 0].tolist())
 
 
 def tensor(a: PureState, b: PureState) -> PureState:

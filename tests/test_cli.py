@@ -76,6 +76,21 @@ class TestMeasure:
         s = statevec.haar_sample(dim, statevec.SeededRng(17), local_dim=local_dim)
         assert json.loads(out)["n_alpha"] == float(kernel(s.amplitudes[None, :], 2.0)[0])
 
+    @pytest.mark.parametrize("dim, local_dim", [
+        (2, 2), (4, 2), (64, 2), (1024, 2), (3, 3), (16, 16),
+    ])
+    def test_n_alpha_is_the_samplers(self, capsys, dim, local_dim):
+        # measure and the sampler reduce the same seeded state to the same bits
+        _, n_sites = statevec.register_shape(dim, local_dim)
+        for seed in (0, 1, 5):
+            for alpha in (1.5, 2.0, 3.0, 40.0):
+                code, out = run_cli(capsys, "measure", "--haar", "--dim", str(dim),
+                                    "--local-dim", str(local_dim), "--seed", str(seed),
+                                    "--alpha", str(alpha))
+                assert code == 0
+                sampled = montecarlo.sample_array("n", alpha, local_dim, n_sites, 1, seed)
+                assert json.loads(out)["n_alpha"] == float(sampled[0])
+
     @pytest.mark.parametrize("local_dim, sizes", [(2, range(1, 13)), (3, [3]), (16, [16])])
     def test_agrees_with_the_full_spectrum(self, capsys, local_dim, sizes):
         # the moment kernel against the report of every d^2 value
@@ -546,6 +561,11 @@ REJECTED = [
     (["reproduce-figures", "--only", "nosuchfig"], 2),
     (["sample", "--threads", "0"], 2),
     (["sample", "--threads", "-3"], 2),
+    # every command that takes --threads checks it, whether it samples or not
+    (["measure", "--bloch", "1,0,0", "--threads", "99"], 4),
+    (["measure", "--bloch", "1,0,0", "--threads", "0"], 2),
+    (["fit-divergence", "--exact", "--threads", "0"], 2),
+    (["mean-sre", "--threads", "99"], 4),
     # a bootstrap needs at least 10 resamples to keep max(10, n // 2) fits
     (["fit-divergence", "--samples", "200000", "--bootstrap", "5"], 2),
     (["fit-divergence", "--samples", "200000", "--bootstrap", "0"], 2),

@@ -76,6 +76,11 @@ SINGLE_FILE = [
     ("measure_h.json", ["measure", "--bloch", H_STATE]),
     ("measure_h_alpha3_bits.json", ["measure", "--bloch", H_STATE, "--alpha", "3", "--bits"]),
     ("measure_basis.json", ["measure", "--amplitudes", "1,0,0,0"]),
+    # generic one-qubit states: every kernel gets |H> to the bit, these pin the last bits
+    ("measure_one_qubit.json", ["measure", "--haar", "--dim", "2", "--seed", "5"]),
+    ("measure_one_qubit_alpha3.json", ["measure", "--haar", "--dim", "2", "--seed", "5",
+                                       "--alpha", "3"]),
+    ("measure_bloch.json", ["measure", "--bloch", "0.6,0,0.8"]),
     ("measure_qutrit.json", ["measure", "--haar", "--dim", "3", "--local-dim", "3",
                              "--seed", "5"]),
     ("measure_two_qubits.json", ["measure", "--haar", "--dim", "4", "--seed", "5"]),
