@@ -8,7 +8,8 @@ the schema marker "magicdist/1".
 
 Every request is checked in full before its first state is drawn.  Exit
 codes: 0 ok, 1 internal error (a sample escaped an exact support), 2 bad
-input, 3 unsupported parameter (alpha not finite and > 1, or no closed
+input (a register that is not one included) or an output path that cannot
+be written, 3 unsupported parameter (alpha not finite and > 1, or no closed
 form), 4 resource guard, 5 statistical insufficiency.
 """
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _parse_state(args):
             raise ValueError("--amplitudes must not all be zero")
         state = state_from_amplitudes(amps / norm, local_dim=args.local_dim)
     elif args.haar:
-        shape = register_shape(args.dim, args.local_dim or None)
+        shape = register_shape(args.dim, args.local_dim)
         return shape, lambda: haar_sample(args.dim, SeededRng(args.seed), local_dim=shape[0])
     else:
         raise ValueError("state required: --bloch, --amplitudes or --haar")
@@ -419,6 +420,9 @@ def main(argv=None) -> int:
         return EXIT_INTERNAL
     except ValueError as exc:  # every input error of the package subclasses it
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OSError as exc:  # an output path that cannot be written
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -30,6 +30,7 @@ from itertools import permutations
 from numbers import Integral
 
 from .errors import InvalidDimension
+from .statevec import check_register
 
 
 @lru_cache(maxsize=None)
@@ -76,8 +77,9 @@ def _haar_average(coeffs, d: int) -> Fraction:
 
 def haar_moments_n2(n_sites: int) -> tuple[Fraction, Fraction]:
     """Exact (mean, variance) of N_2 over Haar-random n-qubit states."""
-    if isinstance(n_sites, bool) or not isinstance(n_sites, Integral) or n_sites < 1:
-        raise InvalidDimension(f"n_sites must be a positive integer, got {n_sites!r}")
+    if isinstance(n_sites, bool) or not isinstance(n_sites, Integral):
+        raise InvalidDimension(f"n_sites must be an integer, got {n_sites!r}")
+    check_register(2, n_sites)
     d = 2 ** int(n_sites)
     fourth, _ = _cycle_polynomials((0,) * 4)
     eighth, _ = _cycle_polynomials((0,) * 8)

@@ -30,10 +30,10 @@ from .errors import (
     SupportViolation,
 )
 from .exact_pdf import PdfCurve
-from .pauli_spectrum import MAX_LOCAL_DIM, _coherence_rows, check_order, hermitian_observable
+from .pauli_spectrum import _coherence_rows, check_order, check_spectrum_size, hermitian_observable
 from .pauli_spectrum import measure_from_n, support_for
 from .pauli_spectrum import pauli_moment_batch, weyl_moment_batch
-from .statevec import SeededRng, haar_block
+from .statevec import SeededRng, check_register, haar_block
 
 CHUNK_SIZE = 4096
 # worker threads a sampler may start: each draws a chunk at a time, which
@@ -57,17 +57,6 @@ def canonical_measure(name: str) -> str:
     if key not in _ALIASES:
         raise ValueError(f"unknown measure {name!r}; expected one of {MEASURES}")
     return _ALIASES[key]
-
-
-def _check_guards(q: int, n_sites: int):
-    if q == 2:
-        if n_sites > 10:
-            raise ResourceLimit(f"qubit sampler guard: n_sites <= 10, got {n_sites}")
-    elif 3 <= q <= MAX_LOCAL_DIM:
-        if n_sites != 1:
-            raise ResourceLimit("qudit sampler is single-site only")
-    else:
-        raise ResourceLimit(f"local dimension {q} outside the supported range 2..{MAX_LOCAL_DIM}")
 
 
 def _measure_chunk(states, measure, alpha, q, n_sites, observable):
@@ -116,12 +105,15 @@ def check_threads(threads: int):
 
 def _check_request(measure, alpha, q, n_sites, n_samples, observable, threads):
     """Validate a sampling request; return (measure, d, observable matrix or None)."""
+    check_register(q, n_sites)
     measure = canonical_measure(measure)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if measure in ("n", "xi", "m", "mlin"):
         check_order(alpha)
-    _check_guards(q, n_sites)
+    if q == 2 and n_sites > 10:
+        raise ResourceLimit(f"qubit sampler guard: n_sites <= 10, got {n_sites}")
+    check_spectrum_size(q, n_sites)
     check_threads(threads)
     d = q**n_sites
     obs = _default_observable(d, observable) if measure == "observable" else None

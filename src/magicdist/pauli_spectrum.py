@@ -54,7 +54,7 @@ from .errors import (
     ResourceLimit,
     UseWeylPath,
 )
-from .statevec import PureState, bloch_components, to_bloch
+from .statevec import PureState, bloch_components
 
 FAST_MAX_SITES = 14
 NAIVE_MAX_SITES = 6
@@ -464,7 +464,10 @@ def incompatibility(s: PureState, alpha: int) -> float:
     """
     if not (_is_integer(alpha) and round(alpha) >= 1):
         raise InvalidOrder(f"incompatibility needs a positive integer order, got {alpha}")
-    return _incompatibility(to_bloch(s).as_array() ** 2, alpha)
+    if s.dim != 2:
+        raise DimensionMismatch(f"incompatibility needs d=2, got d={s.dim}")
+    # the three spectrum values magic_report and measure read, to the bit
+    return _incompatibility(pauli_spectrum_fast(s).values, alpha)
 
 
 def _incompatibility(squares: np.ndarray, alpha: float) -> float:

@@ -46,6 +46,15 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected SeededRng or numpy Generator, got {type(rng).__name__}")
 
 
+def check_register(q: int, n: int):
+    """Raise InvalidDimension unless (q, n) is a register: local dimension
+    q >= 2 and n >= 1 sites, a qudit (q > 2) on a single site."""
+    if q < 2 or n < 1:
+        raise InvalidDimension(f"need local_dim >= 2 and num_sites >= 1, got q={q}, n={n}")
+    if q > 2 and n != 1:
+        raise InvalidDimension("qudit registers are limited to a single site")
+
+
 @dataclass(frozen=True)
 class PureState:
     """Normalized amplitude vector with local-dimension metadata.
@@ -63,10 +72,7 @@ class PureState:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
         q, n = int(self.local_dim), int(self.num_sites)
-        if q < 2 or n < 1:
-            raise InvalidDimension(f"need local_dim >= 2 and num_sites >= 1, got q={q}, n={n}")
-        if q > 2 and n != 1:
-            raise InvalidDimension("qudit registers are limited to a single site")
+        check_register(q, n)
         if amps.size != q**n:
             raise InvalidDimension(f"{amps.size} amplitudes cannot hold {n} sites of dimension {q}")
         norm2 = float(np.sum(amps.real**2 + amps.imag**2))
@@ -101,12 +107,14 @@ class BlochVector:
 
 def register_shape(dim: int, local_dim: int | None = None) -> tuple[int, int]:
     """(local_dim, num_sites) of a register of dimension ``dim``: qubits for
-    local dimension 2, else one qudit.  ``local_dim`` defaults to 2 when dim
-    is a power of two and to dim itself otherwise."""
+    local dimension 2, else one qudit, checked by ``check_register``.  Only
+    ``local_dim=None`` infers it: 2 when dim is a power of two, else dim
+    itself; any other value, 0 included, is taken as given."""
     if local_dim is None:
         local_dim = 2 if dim & (dim - 1) == 0 else dim
     q = int(local_dim)
     n = int(dim).bit_length() - 1 if q == 2 else 1
+    check_register(q, n)
     if q**n != dim:
         raise InvalidDimension(f"dimension {dim} is not a register of local dimension {q}")
     return q, n
@@ -170,8 +178,9 @@ def haar_block(d: int, rng, count: int) -> np.ndarray:
 
 def haar_sample(d: int, rng, local_dim: int | None = None) -> PureState:
     """One state from the unitarily invariant measure on dimension d; its
-    register (``register_shape``, same ``local_dim`` default) is checked before the draw."""
-    q, n = register_shape(d, local_dim or None)
+    register (``register_shape``: ``local_dim=None`` infers it, 0 is no local
+    dimension) is checked before the draw."""
+    q, n = register_shape(d, local_dim)
     return PureState(haar_block(d, rng, 1)[0], q, n)
 
 

@@ -570,6 +570,14 @@ REJECTED = [
     (["fit-divergence", "--samples", "200000", "--bootstrap", "5"], 2),
     (["fit-divergence", "--samples", "200000", "--bootstrap", "0"], 2),
     (["fit-divergence", "--samples", "200000", "--bootstrap", "-3"], 2),
+    # a register needs q >= 2, n >= 1 and a qudit on one site (statevec.check_register)
+    (["sample", "--q", "1"], 2),
+    (["sample", "--q", "3", "--sites", "2"], 2),
+    (["sample", "--sites", "0"], 2),
+    (["sample", "--sites", "-1"], 2),
+    (["sample", "--sites", "0", "--measure", "observable"], 2),
+    (["measure", "--haar", "--dim", "1", "--local-dim", "1"], 2),
+    (["measure", "--haar", "--dim", "4", "--local-dim", "0"], 2),
 ]
 
 
@@ -608,3 +616,14 @@ def test_rejected_before_any_draw(capsys, monkeypatch, tmp_path, argv, code):
     assert got == code
     assert draws == []
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["measure", "--bloch", "1,0,0"], "missing/x.json"),  # its directory does not exist
+    (["exact-pdf", "--variable", "N"], "."),  # a directory
+], ids=["missing directory", "a directory"])
+def test_unwritable_output_exits_2(capsys, tmp_path, argv, target):
+    assert main([*argv, "-o", str(tmp_path / target)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("output error: ")
+    assert list(tmp_path.iterdir()) == []

@@ -9,6 +9,7 @@ from magicdist import (
     DimensionMismatch,
     Histogram,
     InsufficientData,
+    InvalidDimension,
     InvalidEdges,
     InvalidObservable,
     ResourceLimit,
@@ -110,8 +111,16 @@ class TestSampling:
             next(sample_measure("n", 2.0, 2, 11, 10, seed=0))
         with pytest.raises(ResourceLimit):
             next(sample_measure("n", 2.0, 17, 1, 10, seed=0))
-        with pytest.raises(ResourceLimit):
+        with pytest.raises(InvalidDimension):
             next(sample_measure("n", 2.0, 3, 2, 10, seed=0))
+
+    @pytest.mark.parametrize("q, n_sites", [(1, 1), (2, 0), (2, -1), (3, 2)])
+    def test_register_checked_before_the_draw(self, monkeypatch, q, n_sites):
+        draws = []
+        monkeypatch.setattr(montecarlo, "haar_block", lambda *args: draws.append(args))
+        with pytest.raises(InvalidDimension):
+            sample_measure("n", 2.0, q, n_sites, 10, seed=0)
+        assert draws == []
 
     def test_alpha_guard(self):
         from magicdist import InvalidOrder

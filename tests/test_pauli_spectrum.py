@@ -480,6 +480,14 @@ class TestIncompatibility:
                 )
                 assert direct == pytest.approx(series, abs=1e-11)
 
+    @pytest.mark.parametrize("alpha", [2, 3, 4])
+    def test_equals_the_reports_bit_for_bit(self, alpha):
+        # one route: the library call reads the spectrum values magic_report reads
+        for seed in range(100):
+            s = haar_sample(2, SeededRng(seed))
+            assert incompatibility(s, alpha) == magic_report(
+                pauli_spectrum_fast(s), alpha).gamma_alpha
+
     def test_guards(self):
         with pytest.raises(DimensionMismatch):
             incompatibility(haar_sample(4, SeededRng(0)), 2)

@@ -93,6 +93,11 @@ SINGLE_FILE = [
     ("sample_n_sites6.csv", ["sample", "--sites", "6", "--samples", "5000", "--seed", "3"]),
     ("critical_alpha2.json", ["critical-points", "--alpha", "2"]),
     ("critical_alpha4.json", ["critical-points", "--alpha", "4"]),
+    # registers that are not one: no file, only the exit code counts
+    ("sample_q1.csv", ["sample", "--q", "1"]),
+    ("sample_q3_sites2.csv", ["sample", "--q", "3", "--sites", "2"]),
+    ("sample_sites0.csv", ["sample", "--sites", "0"]),
+    ("measure_local_dim0.json", ["measure", "--haar", "--dim", "4", "--local-dim", "0"]),
 ]
 
 
