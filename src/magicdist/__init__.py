@@ -58,6 +58,7 @@ from .exact_pdf import (
     Roots2,
     characteristic_function_n2,
     critical_points,
+    law,
     m_critical,
     mean_sre_exact,
     n_critical,

@@ -9,8 +9,9 @@ the schema marker "magicdist/1".
 Every request is checked in full before its first state is drawn.  Exit
 codes: 0 ok, 1 internal error (a sample escaped an exact support), 2 bad
 input (a register that is not one included) or an output path that cannot
-be written, 3 unsupported parameter (alpha not finite and > 1, or no closed
-form), 4 resource guard, 5 statistical insufficiency.
+be written, 3 unsupported parameter (alpha not finite and > 1, or no exact
+law with a closed form: ``exact_pdf.law``), 4 resource guard (a cap on threads,
+register, spectrum, bins or points), 5 statistical insufficiency.
 """
 from __future__ import annotations
 
@@ -166,12 +167,13 @@ def _sample_figure(args):
     measure = montecarlo.canonical_measure(args.measure)
     overlay = None
     if args.overlay_exact:
-        if not (measure in ("n", "xi", "m") and args.q == 2 and args.sites == 1):
-            raise InvalidOrder("exact overlay available for q=2, n=1, measures N/Xi/M")
+        if exact_pdf.law(measure, args.alpha, args.q, args.sites) is None:
+            raise InvalidOrder(f"no exact law of {measure} for q={args.q}, n={args.sites}")
         # tabulated first: its own check refuses an order without a closed form
         overlay = exact_pdf.tabulate_pdf(measure, alpha=args.alpha)
     edges = args.bins  # the sampler picks the range
     if args.window:
+        montecarlo.check_bin_count(args.bins)
         edges = np.linspace(*_floats(args.window, "--window", 2), args.bins + 1)
     hist = montecarlo.histogram_measure(
         measure, args.alpha, args.q, args.sites, args.samples, args.seed, edges,
@@ -225,6 +227,7 @@ def cmd_fit_divergence(args) -> int:
     # before any state is drawn
     montecarlo.check_fit_window(window)
     montecarlo.check_bootstrap_count(args.bootstrap)
+    montecarlo.check_bin_count(args.bins_per_side)
     # geometric bins around the center keep the ln regressor well conditioned
     wings = np.geomspace(window[0] / 2, window[1] * 2, args.bins_per_side + 1)
     edges = np.unique(np.concatenate([center - wings, center + wings]))
@@ -341,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_measure)
 
     sp = sub.add_parser("exact-pdf", help="tabulate a closed-form density")
-    sp.add_argument("--variable", choices=["N", "Xi", "M", "n", "xi", "m"], required=True)
+    sp.add_argument("--variable", type=montecarlo.canonical_measure, required=True)
     sp.add_argument("--points", type=int, default=600)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--format", choices=["csv", "svg"], default="csv")

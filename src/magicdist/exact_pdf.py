@@ -32,10 +32,10 @@ like -3/(sqrt(2) pi) * ln|n - 1/2| + b with b fitted once from regular
 points.
 
 The stabilizer purity Xi, the entropy M and the linear entropy M_lin are
-functions of N (``pauli_spectrum.measure_from_n``).  Their supports,
-critical values and densities come from that one map: the density of a
-variable v is |dN/dv| P(N(v)), with N(v) and |dN/dv| from the inverse
-``pauli_spectrum.n_from_measure``; e.g. P_Xi(xi) = 2 P(2 xi - 1).
+functions of N (``pauli_spectrum.measure_from_n``).  Their supports and
+critical values (``law``, the one table of exact laws) and densities come
+from that one map: the density of v is |dN/dv| P(N(v)), both from the
+inverse ``pauli_spectrum.n_from_measure``; P_Mlin(v) = P_Xi(1 - v) = 2 P(1 - 2v).
 
 The characteristic function chi(k) = E[exp(i k N_2)] reduces, after the
 azimuthal average, to a smooth integral over x = cos(theta) in [0, 1] with
@@ -54,15 +54,17 @@ from scipy.integrate import quad
 from scipy.linalg import null_space
 from scipy.special import roots_legendre
 
-from .errors import InvalidSpectrum, SingularPoint
+from .errors import InvalidSpectrum, ResourceLimit, SingularPoint
 from .bessel import j0
-from .pauli_spectrum import check_order, measure_from_n, n_from_measure, support_for
+from .pauli_spectrum import MOMENT_MEASURES, check_order, measure_from_n, n_from_measure
+from .pauli_spectrum import support_for
 from .statevec import BlochVector
 
 DIVERGENCE_SLOPE_N2 = 3.0 / (math.sqrt(2.0) * math.pi)  # 0.675237...
 N2_SUPPORT = (1.0 / 3.0, 1.0)
 SINGULAR_GUARD = 1e-9
 _TOL_RANGE = (1e-12, 1e-4)
+MAX_POINTS = 2**20  # most base-grid points a tabulation accepts
 
 # chi(k): a 32-node Gauss-Legendre rule mapped to [0, 1] on each panel
 _GL_NODES, _GL_WEIGHTS = roots_legendre(32)
@@ -87,27 +89,46 @@ def _check_tol(tol: float):
         raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
 
 
-def _check_exact(variable: str, alpha: float, tol: float):
-    """The closed-form densities exist for N, Xi and M at alpha = 2 only."""
-    if variable not in ("n", "xi", "m"):
-        raise ValueError(f"unknown variable {variable!r}")
-    if alpha != 2:
-        raise NotImplementedError(f"closed-form {variable} density is available at alpha = 2 only")
-    _check_tol(tol)
-
-
 def n_critical(alpha: float) -> float:
     """Saddle value of N_alpha, where the density diverges (one qubit)."""
     check_order(alpha)
     return 2.0 ** (1.0 - alpha)
 
 
+@dataclass(frozen=True)
+class Law:
+    """A measure's value range, where its density diverges, and whether it is closed-form."""
+
+    support: tuple[float, float]
+    singular_points: tuple[float, ...]
+    closed_form: bool
+
+
+def law(measure: str, alpha: float = 2.0, q: int = 2, n_sites: int = 1) -> Law | None:
+    """The exact law of a canonical measure on a register, or None.  A
+    moment measure of one qubit has one at every order, the image of
+    [3^(1-alpha), 1] and n_c; its density is closed-form at alpha = 2."""
+    if measure not in MOMENT_MEASURES or (q, n_sites) != (2, 1):
+        return None
+    c = float(measure_from_n(n_critical(alpha), measure, alpha, 2))
+    return Law(support_for(measure, alpha), (c,), alpha == 2)
+
+
+def _check_exact(variable: str, alpha: float, tol: float) -> Law:
+    """The law of a one-qubit variable with a closed-form density; checks ``tol``."""
+    exact = law(variable, alpha)
+    if exact is None or not exact.closed_form:
+        raise NotImplementedError(f"no closed-form {variable} density at alpha = {alpha:g}")
+    _check_tol(tol)
+    return exact
+
+
 def xi_critical(alpha: float) -> float:
-    return measure_from_n(n_critical(alpha), "xi", alpha, 2)
+    return law("xi", alpha).singular_points[0]
 
 
 def m_critical(alpha: float) -> float:
-    return float(measure_from_n(n_critical(alpha), "m", alpha, 2))
+    return law("m", alpha).singular_points[0]
 
 
 @dataclass(frozen=True)
@@ -393,8 +414,7 @@ def _mapped_density(variable: str, alpha: float, x: np.ndarray, tol: float):
     ``tol`` is checked here, once per call; the tolerance of each N point
     is tol / |dN/dx|, clamped to the admissible range.
     """
-    _check_exact(variable, alpha, tol)
-    lo, hi = support_for(variable, alpha)
+    lo, hi = _check_exact(variable, alpha, tol).support
     dens = np.zeros(x.shape)
     error = np.zeros(x.shape)
     inside = (lo <= x) & (x <= hi)
@@ -697,33 +717,33 @@ def _refined_grid(lo: float, hi: float, singulars, num_points: int, guard: float
 
 def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: float = 1e-9,
                  guard: float = 1e-5) -> PdfCurve:
-    """Tabulated exact density of N, Xi or M at alpha = 2.
+    """Tabulated exact density of a variable whose ``law`` is closed-form.
 
     The grid refines logarithmically into the divergence from both sides
     down to ``guard`` (above SINGULAR_GUARD / 0.999, below 0.1); the open
     interval around the singular abscissa is left to the logarithmic model
     (see ``PdfCurve.integral``).  The base grid has ``num_points >= 2``
-    points, both support edges included.  The whole grid is one call of the
-    N_2 engine.
+    points, both support edges included, and at most ``MAX_POINTS``.  The
+    whole grid is one call of the N_2 engine.
     """
     v = variable.lower()
     if num_points < 2:
         raise ValueError(f"num_points must be at least 2, got {num_points}")
-    _check_exact(v, alpha, tol)
+    if num_points > MAX_POINTS:
+        raise ResourceLimit(f"point guard: num_points <= {MAX_POINTS}, got {num_points}")
+    exact = _check_exact(v, alpha, tol)
     # every kept grid point must stay outside the density's own guard
     if not (SINGULAR_GUARD < _GUARD_KEEP * guard and guard < 0.1):
         raise ValueError(f"guard must lie in ({SINGULAR_GUARD / _GUARD_KEEP:.6g}, 0.1), "
                          f"got {guard!r}")
-    lo, hi = support_for(v, alpha)
-    c = float(measure_from_n(n_critical(alpha), v, alpha, 2))
-    grid = _refined_grid(lo, hi, [c], num_points, guard)
+    grid = _refined_grid(*exact.support, exact.singular_points, num_points, guard)
     dens, error = _mapped_density(v, alpha, grid, tol)
     return PdfCurve(
         variable=v,
         alpha=float(alpha),
         abscissas=grid,
         densities=dens,
-        support=(lo, hi),
-        singular_points=(c,),
+        support=exact.support,
+        singular_points=exact.singular_points,
         quadrature_error=float(error.max()),
     )

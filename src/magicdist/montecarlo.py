@@ -11,7 +11,7 @@ counts), so any thread count reproduces the serial result bit for bit;
 the per-chunk part of a reduction runs in the workers.
 
 ``histogram_measure`` alone sets the range of a bin count and decides
-what an out-of-range sample means (a count, or a bug on an exact support).
+what an out-of-range sample means (a count, or a bug on a ``law``'s support).
 """
 from __future__ import annotations
 
@@ -29,9 +29,9 @@ from .errors import (
     SupportMismatch,
     SupportViolation,
 )
-from .exact_pdf import PdfCurve
+from .exact_pdf import PdfCurve, law
 from .pauli_spectrum import _coherence_rows, check_order, check_spectrum_size, hermitian_observable
-from .pauli_spectrum import measure_from_n, support_for
+from .pauli_spectrum import MOMENT_MEASURES, measure_from_n
 from .pauli_spectrum import pauli_moment_batch, weyl_moment_batch
 from .statevec import SeededRng, check_register, haar_block
 
@@ -39,8 +39,9 @@ CHUNK_SIZE = 4096
 # worker threads a sampler may start: each draws a chunk at a time, which
 # peaks near 192 MiB at ten qubits, so the cap bounds that case near 3 GiB
 MAX_THREADS = 16
+MAX_BINS = 2**20  # most bins a bin count may ask for
 
-MEASURES = ("n", "xi", "m", "mlin", "coherence", "observable")
+MEASURES = (*MOMENT_MEASURES, "coherence", "observable")
 
 _ALIASES = {
     "n": "n", "n_alpha": "n",
@@ -109,7 +110,7 @@ def _check_request(measure, alpha, q, n_sites, n_samples, observable, threads):
     measure = canonical_measure(measure)
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
-    if measure in ("n", "xi", "m", "mlin"):
+    if measure in MOMENT_MEASURES:
         check_order(alpha)
     if q == 2 and n_sites > 10:
         raise ResourceLimit(f"qubit sampler guard: n_sites <= 10, got {n_sites}")
@@ -144,6 +145,14 @@ def sample_array(measure, alpha, q, n_sites, n_samples, seed, observable=None) -
     return np.concatenate(
         list(sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable))
     )
+
+
+def check_bin_count(bins: int):
+    """Raise InvalidEdges below one bin and ResourceLimit above MAX_BINS."""
+    if bins < 1:
+        raise InvalidEdges(f"need at least one bin, got {bins}")
+    if bins > MAX_BINS:
+        raise ResourceLimit(f"bin guard: bins <= {MAX_BINS}, got {bins}")
 
 
 def _check_edges(edges) -> np.ndarray:
@@ -209,14 +218,12 @@ def build_histogram(samples, edges) -> Histogram:
     return _add_bins(binned, edges)
 
 
-def _exact_range(measure, alpha, q, n_sites, obs):
-    """(lo, hi) holding every value of the measure, or None without a closed form."""
+def _value_range(measure, d, obs):
+    """(lo, hi) holding every coherence or observable value on dimension d, else None."""
     if measure == "coherence":
-        return 0.0, q**n_sites - 1.0
+        return 0.0, d - 1.0
     if measure == "observable":
         return tuple(np.linalg.eigvalsh(obs)[[0, -1]])
-    if q == 2 and n_sites == 1:
-        return support_for(measure, alpha)
     return None
 
 
@@ -224,23 +231,21 @@ def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observ
                       threads: int = 1) -> Histogram:
     """Sample and bin in one pass, optionally across a thread pool.
 
-    ``edges`` may be a bin count, as for ``numpy.histogram``: the bins then
-    span the measure's exact range (one-qubit N/Xi/M/M_lin support, [0, d-1]
+    ``edges`` may be a bin count (``check_bin_count``): the bins then span
+    the support of the measure's ``law``, else its value range ([0, d-1]
     for the coherence, the observable's extreme eigenvalues), else the first
     ``min(n_samples, 20000)`` samples widened by 5% of their span each side.
     Samples outside the edges are counted in ``n_below``/``n_above``, but
-    raise ``SupportViolation`` when the edges cover a one-qubit N/Xi/M/M_lin
-    support, which is exact.  The result is identical for every thread count.
+    raise ``SupportViolation`` when the edges cover the support of a law,
+    which holds every value.  The result is identical for every thread count.
     """
-    measure, _, obs = _check_request(measure, alpha, q, n_sites, n_samples, observable, threads)
-    span = _exact_range(measure, alpha, q, n_sites, obs)
-    # one-qubit N/Xi/M/M_lin values are clipped into that support
-    clipped = measure in ("n", "xi", "m", "mlin") and span is not None
+    measure, d, obs = _check_request(measure, alpha, q, n_sites, n_samples, observable, threads)
+    exact = law(measure, alpha, q, n_sites)
+    span = exact.support if exact else _value_range(measure, d, obs)
     args = (measure, alpha, q, n_sites, n_samples, seed, observable, threads)
     head = []
     if isinstance(edges, (int, np.integer)):
-        if edges < 1:
-            raise InvalidEdges(f"need at least one bin, got {edges}")
+        check_bin_count(edges)
         if span is None:
             stream = sample_measure(*args)
             while sum(c.size for c in head) < min(n_samples, 20000):
@@ -258,7 +263,7 @@ def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observ
     hist = _add_bins(binned, edges)
 
     escaped = hist.n_below + hist.n_above
-    if escaped and clipped and edges[0] <= span[0] + 1e-12 and edges[-1] >= span[1] - 1e-12:
+    if escaped and exact and edges[0] <= span[0] + 1e-12 and edges[-1] >= span[1] - 1e-12:
         raise SupportViolation(f"{escaped} samples escaped an exact support; this is a bug")
     return hist
 

@@ -370,6 +370,10 @@ def check_order(alpha: float):
         raise InvalidOrder(f"need a finite alpha > 1, got {alpha}")
 
 
+# the measures that are functions of N_alpha alone, through ``measure_from_n``
+MOMENT_MEASURES = ("n", "xi", "m", "mlin")
+
+
 def measure_from_n(n, measure: str, alpha: float, d: int):
     """The named measure of N_alpha (a number or an array) on dimension d.
 
@@ -411,7 +415,7 @@ def n_from_measure(value, measure: str, alpha: float, d: int):
 
 
 def support_for(variable: str, alpha: float = 2.0) -> tuple[float, float]:
-    """Closed support of the named single-qubit density: "n", "xi", "m" or "mlin"."""
+    """Closed support of a moment measure (``MOMENT_MEASURES``) of one qubit."""
     ends = (measure_from_n(n, variable.lower(), alpha, 2) for n in (3.0 ** (1.0 - alpha), 1.0))
     # + 0.0 turns the entropy's -0.0 at N = 1 into +0.0
     lo, hi = sorted(float(v) + 0.0 for v in ends)

@@ -3,10 +3,12 @@ import math
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from magicdist import cli, exact_pdf, montecarlo, statevec, svgplot
 from magicdist.cli import main
+from magicdist.errors import SupportViolation
 from magicdist.pauli_spectrum import magic_report, pauli_moment_batch, pauli_spectrum_fast
 from magicdist.pauli_spectrum import weyl_moment_batch, weyl_spectrum
 
@@ -578,6 +580,12 @@ REJECTED = [
     (["sample", "--sites", "0", "--measure", "observable"], 2),
     (["measure", "--haar", "--dim", "1", "--local-dim", "1"], 2),
     (["measure", "--haar", "--dim", "4", "--local-dim", "0"], 2),
+    # bin and point counts are capped before anything of their size is allocated
+    (["sample", "--bins", "10000000000000"], 4),
+    (["sample", "--window", "0,1", "--bins", "10000000000000"], 4),
+    (["fit-divergence", "--bins-per-side", "10000000000000"], 4),
+    (["fit-divergence", "--samples", "200000", "--bins-per-side", "0"], 2),
+    (["exact-pdf", "--variable", "N", "--points", "10000000000000"], 4),
 ]
 
 
@@ -627,3 +635,38 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, target):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("output error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("q, sites", [(2, 1), (2, 2), (3, 1)])
+@pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
+@pytest.mark.parametrize("measure", montecarlo.MEASURES)
+def test_every_caller_agrees_with_the_law(capsys, monkeypatch, measure, alpha, q, sites):
+    exact = exact_pdf.law(measure, alpha, q, sites)
+    closed = exact is not None and exact.closed_form
+    options = ["--measure", measure, "--alpha", str(alpha), "--q", str(q), "--sites", str(sites)]
+    assert (main(["sample", *options, "--samples", "300", "--bins", "8",
+                  "--overlay-exact"]) == 0) == closed
+    if (q, sites) == (2, 1):
+        assert (main(["exact-pdf", "--variable", measure, "--alpha", str(alpha),
+                      "--points", "20"]) == 0) == closed
+    capsys.readouterr()
+
+    observable = np.diag(np.arange(q**sites, dtype=float)) if measure == "observable" else None
+    request = (measure, alpha, q, sites, 300, 5, 8, observable)
+    hist = montecarlo.histogram_measure(*request)
+    if exact is not None:
+        assert hist.edges.tolist() == np.linspace(*exact.support, 9).tolist()
+    measure_chunk = montecarlo._measure_chunk
+
+    def escaping(*args):
+        values = measure_chunk(*args)
+        values[0] = -1.0  # below every support and every value range
+        return values
+
+    monkeypatch.setattr(montecarlo, "_measure_chunk", escaping)
+    if exact is None:
+        hist = montecarlo.histogram_measure(*request)  # counted, not raised
+        assert hist.counts.sum() + hist.n_below + hist.n_above == 300
+    else:
+        with pytest.raises(SupportViolation):
+            montecarlo.histogram_measure(*request)

@@ -53,6 +53,11 @@ PDF_N2_REFS = [
 MEAN_SRE_NATS = 0.22892114288710578
 MEAN_SRE_BITS = 0.33026339759786131
 
+def pdf_mlin(alpha, v, tol=1e-10):
+    """Density of the linear entropy, through the engine of every mapped variable."""
+    return float(exact_pdf._mapped_density("mlin", alpha, np.array([v], dtype=float), tol)[0][0])
+
+
 CHI_REFS = [
     (1.0, 0.8131191992170205, 0.5556695688954067),
     (5.0, -0.6563092461407328, 0.1471935661131842),
@@ -463,6 +468,30 @@ class TestTabulation:
         assert fit.slope == pytest.approx(DIVERGENCE_SLOPE_N2, rel=0.005)
         assert fit.r_squared > 0.999
 
+    def test_curve_normalization_mlin(self):
+        curve = tabulate_pdf("mlin", num_points=700, tol=1e-9, guard=1e-6)
+        assert curve.support == (0.0, 1.0 - 2.0 / 3.0)
+        assert curve.singular_points == (0.25,)
+        assert curve.integral() == pytest.approx(1.0, abs=1e-4)
+
+    def test_mlin_is_the_mirrored_purity(self):
+        # M_lin = 1 - Xi, so P_Mlin(v) = P_Xi(1 - v) through the same N
+        for v in (0.01, 0.1, 0.2, 0.2499, 0.2501, 0.3):
+            assert pdf_mlin(2.0, v) == pdf_xi(2.0, 1.0 - v)
+
+    def test_mlin_curve_divergence_fit(self):
+        # |dN/dv| = 2 doubles the coefficient of N_2, as for Xi
+        curve = tabulate_pdf("mlin", num_points=900, tol=1e-10, guard=1e-6)
+        fit = fit_log_divergence(curve, 0.25, (1e-5, 1e-3))
+        assert fit.slope == pytest.approx(2.0 * DIVERGENCE_SLOPE_N2, rel=0.005)
+        assert fit.r_squared > 0.999
+
+    @pytest.mark.parametrize("variable", ["coherence", "observable"])
+    def test_no_closed_form_law(self, variable):
+        assert exact_pdf.law(variable) is None
+        with pytest.raises(NotImplementedError):
+            tabulate_pdf(variable, num_points=20)
+
 
 class TestDensityEngine:
     """The vectorised Gauss-Legendre engine behind every exact N_2 density."""
@@ -472,9 +501,9 @@ class TestDensityEngine:
         scalars = [pdf_n2_exact(float(x), tol=1e-9) for x in curve.abscissas]
         assert np.array_equal(curve.densities, scalars)
 
-    @pytest.mark.parametrize("variable", ["xi", "m"])
+    @pytest.mark.parametrize("variable", ["xi", "m", "mlin"])
     def test_mapped_tabulation_equals_scalar_bitwise(self, variable):
-        density = {"xi": pdf_xi, "m": pdf_m}[variable]
+        density = {"xi": pdf_xi, "m": pdf_m, "mlin": pdf_mlin}[variable]
         curve = tabulate_pdf(variable, num_points=300, tol=1e-10)
         scalars = [density(2.0, float(x), tol=1e-10) for x in curve.abscissas]
         assert np.array_equal(curve.densities, scalars)
@@ -528,7 +557,8 @@ class TestDensityEngine:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
-    @pytest.mark.parametrize("variable,tol", [("n", 1e-9), ("xi", 1e-10), ("m", 1e-8)])
+    @pytest.mark.parametrize("variable,tol", [("n", 1e-9), ("xi", 1e-10), ("m", 1e-8),
+                                              ("mlin", 1e-9)])
     def test_quadrature_error_is_kept(self, variable, tol):
         curve = tabulate_pdf(variable, num_points=200, tol=tol)
         assert 0.0 <= curve.quadrature_error <= tol
@@ -542,7 +572,7 @@ class TestDensityEngine:
             tabulate_pdf("n", num_points=50, guard=guard)
 
     def test_smallest_guard_tabulates(self):
-        for variable in ("n", "xi", "m"):
+        for variable in ("n", "xi", "m", "mlin"):
             curve = tabulate_pdf(variable, num_points=50, guard=1.002e-9)
             c = curve.singular_points[0]
             assert np.min(np.abs(curve.abscissas - c)) < 2e-9

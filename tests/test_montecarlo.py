@@ -513,6 +513,15 @@ class TestGoodnessOfFit:
         report = gof_compare(h, curve, exclude_radius=2e-3)
         assert report.bins_beyond_4sigma == 0
 
+    def test_mlin_haar_samples_match_exact(self):
+        # the partial incompatibility M_lin has the exact law of 1 - Xi
+        curve = tabulate_pdf("mlin", num_points=700, tol=1e-9, guard=1e-6)
+        edges = np.linspace(*curve.support, 201)
+        h = histogram_measure("mlin", 2.0, 2, 1, 400_000, 37, edges)
+        report = gof_compare(h, curve, exclude_radius=2e-3)
+        assert report.max_sigma_deviation < 5.0
+        assert report.bins_beyond_4sigma == 0
+
     def test_support_mismatch(self, curve):
         h = build_histogram(np.array([0.5]), [0.0, 2.0])
         with pytest.raises(SupportMismatch):
