@@ -35,8 +35,8 @@ from .errors import (
 )
 from .pauli_spectrum import _report, check_order, check_spectrum_size, pauli_moment_batch
 from .pauli_spectrum import pauli_spectrum_fast, weyl_moment_batch
-from .statevec import BlochVector, SeededRng, from_bloch, haar_sample, register_shape
-from .statevec import state_from_amplitudes
+from .statevec import BlochVector, SeededRng, check_register, from_bloch, haar_sample
+from .statevec import register_shape, state_from_amplitudes
 
 SCHEMA = "magicdist/1"
 
@@ -79,6 +79,15 @@ def _floats(text: str, flag: str, count: int | None = None) -> list[float]:
     if count is not None and len(parts) != count:
         raise ValueError(f"{flag} needs {count} comma-separated numbers, got {text!r}")
     return parts
+
+
+def _measure_name(text: str) -> str:
+    """``montecarlo.canonical_measure`` as an argparse type: argparse prints
+    the message of an ArgumentTypeError, so the valid names reach stderr."""
+    try:
+        return montecarlo.canonical_measure(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _parse_state(args):
@@ -171,6 +180,11 @@ def _sample_figure(args):
             raise InvalidOrder(f"no exact law of {measure} for q={args.q}, n={args.sites}")
         # tabulated first: its own check refuses an order without a closed form
         overlay = exact_pdf.tabulate_pdf(measure, alpha=args.alpha)
+    if measure == "observable":
+        check_register(args.q, args.sites)
+        if args.q**args.sites > 2:  # only one qubit has a default observable, Z
+            raise ValueError("the command line has no observable input, and only d = 2 has a "
+                             "default; for d > 2 call histogram_measure(..., observable=...)")
     edges = args.bins  # the sampler picks the range
     if args.window:
         montecarlo.check_bin_count(args.bins)
@@ -344,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_measure)
 
     sp = sub.add_parser("exact-pdf", help="tabulate a closed-form density")
-    sp.add_argument("--variable", type=montecarlo.canonical_measure, required=True)
+    sp.add_argument("--variable", type=_measure_name, required=True)
     sp.add_argument("--points", type=int, default=600)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--format", choices=["csv", "svg"], default="csv")

@@ -42,6 +42,11 @@ azimuthal average, to a smooth integral over x = cos(theta) in [0, 1] with
 a J0 factor.  It is taken with composite 32-node Gauss-Legendre panels,
 vectorised over the nodes with scipy's J0, and certified by comparing m
 with 2m panels; Fourier-inverting it reproduces P(n).
+
+Importing this module loads no scipy.  The 12-node rule is stored as
+literals; scipy.special is imported on the first chi(k), for its 32-node
+rule and J0 (``bessel.j0``), and scipy.integrate on the first
+``mean_sre_exact``, through ``quad``.
 """
 from __future__ import annotations
 
@@ -50,9 +55,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.linalg import null_space
-from scipy.special import roots_legendre
 
 from .errors import InvalidSpectrum, ResourceLimit, SingularPoint
 from .bessel import j0
@@ -66,18 +68,25 @@ SINGULAR_GUARD = 1e-9
 _TOL_RANGE = (1e-12, 1e-4)
 MAX_POINTS = 2**20  # most base-grid points a tabulation accepts
 
-# chi(k): a 32-node Gauss-Legendre rule mapped to [0, 1] on each panel
-_GL_NODES, _GL_WEIGHTS = roots_legendre(32)
-_GL_NODES, _GL_WEIGHTS = (_GL_NODES + 1.0) / 2.0, _GL_WEIGHTS / 2.0
+# chi(k): composite panels of a 32-node Gauss-Legendre rule (``_chi_rule``)
 _CHI_K_PER_PANEL = 16.0
 _CHI_MAX_PANELS = 8192
 
 # N_2 density: 12-node Gauss-Legendre panels on meshes graded toward both
 # ends of each segment in the sin^2 variable (see ``_graded_rule``), at
 # most _PDF_MAX_DEPTH layers deep before refinement, refined at most
-# _PDF_MAX_LEVEL times
-_PANEL_NODES, _PANEL_WEIGHTS = roots_legendre(12)
-_PANEL_NODES, _PANEL_WEIGHTS = (_PANEL_NODES + 1.0) / 2.0, _PANEL_WEIGHTS / 2.0
+# _PDF_MAX_LEVEL times.  The rule is scipy's roots_legendre(12) mapped to
+# [0, 1] by (x + 1)/2 and w/2, kept bit for bit as literals
+_PANEL_NODES = np.array([
+    0.009219682876640378, 0.047941371814762546, 0.11504866290284765, 0.20634102285669126,
+    0.31608425050090994, 0.4373832957442655, 0.5626167042557345, 0.6839157494990901,
+    0.7936589771433087, 0.8849513370971523, 0.9520586281852375, 0.9907803171233596,
+])
+_PANEL_WEIGHTS = np.array([
+    0.023587668193256594, 0.05346966299765891, 0.08003916427167304, 0.10158371336153287,
+    0.11674626826917735, 0.1245735229067013, 0.1245735229067013, 0.11674626826917735,
+    0.10158371336153287, 0.08003916427167304, 0.05346966299765891, 0.023587668193256594,
+])
 _PDF_MAX_DEPTH = 48
 _PDF_MAX_LEVEL = 6
 # nodes per numpy pass; bounds the scratch arrays to a few hundred KiB each
@@ -458,6 +467,15 @@ def pdf_observable(a: float, a1: float, a2: float) -> float:
     return 1.0 / (a2 - a1) if a1 <= a <= a2 else 0.0
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call so that importing the
+    package does not load scipy.integrate; the benchmark's tracer times it
+    at ``magicdist.exact_pdf.quad``."""
+    from scipy.integrate import quad as scipy_quad
+
+    return scipy_quad(func, a, b, **kwargs)
+
+
 def mean_sre_exact(tol: float = 1e-8) -> float:
     """Exact Haar mean of the order-2 stabilizer entropy for one qubit, nats.
 
@@ -478,12 +496,22 @@ def mean_sre_exact(tol: float = 1e-8) -> float:
     return val
 
 
+@lru_cache(maxsize=1)
+def _chi_rule() -> tuple[np.ndarray, np.ndarray]:
+    """The 32-node Gauss-Legendre rule mapped to [0, 1], built on first use."""
+    from scipy.special import roots_legendre
+
+    nodes, weights = roots_legendre(32)
+    return (nodes + 1.0) / 2.0, weights / 2.0
+
+
 def _chi_panels(k: float, m: int) -> complex:
     """The chi(k) integral over [0, 1] by m equal 32-node Gauss-Legendre panels."""
-    x = ((np.arange(m)[:, None] + _GL_NODES) / m).ravel()
+    nodes, weights = _chi_rule()
+    x = ((np.arange(m)[:, None] + nodes) / m).ravel()
     s4 = (1.0 - x * x) ** 2
     f = np.exp(1j * k * (x**4 + 0.75 * s4)) * j0(k * s4 / 4.0)
-    return complex(np.sum(f.reshape(m, _GL_NODES.size) @ _GL_WEIGHTS) / m)
+    return complex(np.sum(f.reshape(m, nodes.size) @ weights) / m)
 
 
 def _chi_certified(k: float, tol: float) -> complex:
@@ -550,6 +578,12 @@ def _projected_gradient(vec: np.ndarray, alpha: float, scale: float = 1.0) -> np
     return g - np.dot(g, vec) * vec
 
 
+def _tangent_basis(vec: np.ndarray) -> np.ndarray:
+    """Orthonormal columns perpendicular to the unit vector ``vec``: the right
+    singular vectors of the 1 x 3 matrix past the first."""
+    return np.linalg.svd(vec[None, :])[2][1:].T
+
+
 def _tangent_hessian_eigs(vec: np.ndarray, alpha: float) -> np.ndarray:
     """Eigenvalues of the constrained Hessian on the tangent plane, divided by
     the positive factor 2 alpha m^(2 alpha - 2), m = max |n_i|.
@@ -560,7 +594,7 @@ def _tangent_hessian_eigs(vec: np.ndarray, alpha: float) -> np.ndarray:
     """
     r = (np.abs(vec) / np.max(np.abs(vec))) ** (2.0 * alpha - 2.0)
     lagr = np.diag((2.0 * alpha - 1.0) * r) - np.dot(vec * vec, r) * np.eye(3)
-    tangent = null_space(vec[None, :])  # orthonormal columns perpendicular to vec
+    tangent = _tangent_basis(vec)
     return np.linalg.eigvalsh(tangent.T @ lagr @ tangent)
 
 

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -118,7 +117,8 @@ class MagicReport:
 
 def _sylvester(k: int) -> np.ndarray:
     """Read-only Sylvester-Hadamard matrix H[b, x] = (-1)^popcount(b & x) of order 2^k."""
-    h = scipy.linalg.hadamard(2**k, dtype=float)
+    b = np.arange(2**k)
+    h = 1.0 - 2.0 * (np.bitwise_count(b[:, None] & b) & 1)
     h.setflags(write=False)
     return h
 

@@ -181,6 +181,14 @@ class TestExactPdf:
     def test_unsupported_alpha_exit_3(self, capsys):
         assert main(["exact-pdf", "--variable", "N", "--alpha", "3"]) == 3
 
+    def test_unknown_variable_lists_the_names(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["exact-pdf", "--variable", "bogus"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown measure 'bogus'" in err
+        assert all(repr(name) in err for name in montecarlo.MEASURES)
+
     def test_svg_contains_data_table(self, capsys, tmp_path):
         path = tmp_path / "m.svg"
         code, _ = run_cli(
@@ -295,6 +303,15 @@ class TestSample:
         assert captured.out == ""
         assert captured.err.startswith("internal error:")
         assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("q, sites", [(2, 2), (3, 1)])
+    def test_observable_beyond_one_qubit_names_the_library_route(self, capsys, q, sites):
+        code = main(["sample", "--measure", "observable", "--q", str(q), "--sites", str(sites),
+                     "--samples", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "command line has no observable input" in err
+        assert "histogram_measure(..., observable=...)" in err
 
     def test_qudit_sample(self, capsys):
         code, out = run_cli(

@@ -268,6 +268,36 @@ class TestCriticalPoints:
         }
         assert orbit == saddles
 
+    def test_tangent_basis_is_orthonormal_and_perpendicular(self):
+        points = critical_points(2.0)
+        assert len(points) == 26
+        for p in points:
+            vec = p.bloch.as_array()
+            tangent = exact_pdf._tangent_basis(vec)
+            assert tangent.shape == (3, 2)
+            np.testing.assert_allclose(tangent.T @ tangent, np.eye(2), atol=1e-15)
+            np.testing.assert_allclose(vec @ tangent, 0.0, atol=1e-15)
+
+
+class TestGaussLegendreRules:
+    """The fixed rules equal scipy's roots_legendre mapped to [0, 1], bit for bit."""
+
+    @staticmethod
+    def _mapped(n):
+        x, w = roots_legendre(n)
+        return (x + 1.0) / 2.0, w / 2.0
+
+    def test_panel_rule(self):
+        nodes, weights = self._mapped(12)
+        assert exact_pdf._PANEL_NODES.tobytes() == nodes.tobytes()
+        assert exact_pdf._PANEL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_chi_rule(self):
+        nodes, weights = self._mapped(32)
+        built_nodes, built_weights = exact_pdf._chi_rule()
+        assert built_nodes.tobytes() == nodes.tobytes()
+        assert built_weights.tobytes() == weights.tobytes()
+
 
 class TestMeanSre:
     def test_exact_value(self):

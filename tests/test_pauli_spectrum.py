@@ -31,7 +31,7 @@ from magicdist import (
     BlochVector,
     PureState,
 )
-from magicdist.pauli_spectrum import _wht_last, pauli_moment_batch, weyl_moment_batch
+from magicdist.pauli_spectrum import _SYLVESTER, _wht_last, pauli_moment_batch, weyl_moment_batch
 from magicdist.statevec import haar_block, register_shape
 
 I2 = np.eye(2, dtype=complex)
@@ -173,6 +173,14 @@ class TestCosetLayout:
 
 
 class TestWalshHadamard:
+    @pytest.mark.parametrize("k", range(7))
+    def test_sylvester_factors_are_scipys(self, k):
+        from scipy.linalg import hadamard
+
+        h = _SYLVESTER[k]
+        assert h.tobytes() == hadamard(2**k, dtype=float).tobytes()
+        assert h.flags.c_contiguous and not h.flags.writeable
+
     @pytest.mark.parametrize("n", range(15))
     def test_matches_explicit_sum(self, n):
         # 0..6 bits take one matrix product, 7..12 two and 13..14 three;
