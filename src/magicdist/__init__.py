@@ -17,6 +17,7 @@ from .errors import (
     InvalidObservable,
     InvalidOrder,
     InvalidSpectrum,
+    MissingObservable,
     ResourceLimit,
     SingularPoint,
     SupportMismatch,

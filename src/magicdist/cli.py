@@ -29,14 +29,15 @@ from . import exact_pdf, montecarlo, svgplot
 from .errors import (
     InsufficientData,
     InvalidOrder,
+    MissingObservable,
     ResourceLimit,
     SingularPoint,
     SupportViolation,
 )
 from .pauli_spectrum import _report, check_order, check_spectrum_size, pauli_moment_batch
 from .pauli_spectrum import pauli_spectrum_fast, weyl_moment_batch
-from .statevec import BlochVector, SeededRng, check_register, from_bloch, haar_sample
-from .statevec import register_shape, state_from_amplitudes
+from .statevec import BlochVector, SeededRng, from_bloch, haar_sample, register_shape
+from .statevec import state_from_amplitudes
 
 SCHEMA = "magicdist/1"
 
@@ -180,19 +181,18 @@ def _sample_figure(args):
             raise InvalidOrder(f"no exact law of {measure} for q={args.q}, n={args.sites}")
         # tabulated first: its own check refuses an order without a closed form
         overlay = exact_pdf.tabulate_pdf(measure, alpha=args.alpha)
-    if measure == "observable":
-        check_register(args.q, args.sites)
-        if args.q**args.sites > 2:  # only one qubit has a default observable, Z
-            raise ValueError("the command line has no observable input, and only d = 2 has a "
-                             "default; for d > 2 call histogram_measure(..., observable=...)")
     edges = args.bins  # the sampler picks the range
     if args.window:
         montecarlo.check_bin_count(args.bins)
         edges = np.linspace(*_floats(args.window, "--window", 2), args.bins + 1)
-    hist = montecarlo.histogram_measure(
-        measure, args.alpha, args.q, args.sites, args.samples, args.seed, edges,
-        threads=args.threads,
-    )
+    try:
+        hist = montecarlo.histogram_measure(
+            measure, args.alpha, args.q, args.sites, args.samples, args.seed, edges,
+            threads=args.threads,
+        )
+    except MissingObservable as exc:
+        raise ValueError(f"the command line has no observable input: {exc} "
+                         "to histogram_measure(..., observable=...)") from None
 
     dens = hist.density()
     comments = [

@@ -30,6 +30,10 @@ class InvalidObservable(ValueError):
     """Observable is not Hermitian within tolerance."""
 
 
+class MissingObservable(ValueError):
+    """No observable given where no default exists (only one qubit has one, Z)."""
+
+
 class InvalidSpectrum(ValueError):
     """Observable eigenvalues are not ordered a1 < a2."""
 

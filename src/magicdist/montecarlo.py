@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     InsufficientData,
     InvalidEdges,
+    MissingObservable,
     ResourceLimit,
     SupportMismatch,
     SupportViolation,
@@ -70,12 +71,14 @@ def _measure_chunk(states, measure, alpha, q, n_sites, observable):
     return measure_from_n(kernel(states, alpha), measure, alpha, q**n_sites)
 
 
-def _default_observable(d: int, observable):
-    if observable is not None:
-        return hermitian_observable(observable, d)
-    if d == 2:
-        return np.diag([1.0 + 0j, -1.0 + 0j])
-    raise ValueError("an explicit observable is required for d > 2")
+def _default_observable(q: int, n_sites: int) -> np.ndarray:
+    """Z: only one qubit has a default observable; no power q**n is formed."""
+    if (q, n_sites) != (2, 1):
+        raise MissingObservable(
+            f"only one qubit has a default observable (Z); for q={q}, n_sites={n_sites} "
+            "pass a Hermitian matrix as observable="
+        )
+    return np.diag([1.0 + 0j, -1.0 + 0j])
 
 
 def _in_order(work, n_chunks: int, threads: int):
@@ -108,6 +111,9 @@ def _check_request(measure, alpha, q, n_sites, n_samples, observable, threads):
     """Validate a sampling request; return (measure, d, observable matrix or None)."""
     check_register(q, n_sites)
     measure = canonical_measure(measure)
+    obs = None
+    if measure == "observable" and observable is None:
+        obs = _default_observable(q, n_sites)  # no register size can supply a missing one
     if n_samples < 1:
         raise ValueError("n_samples must be positive")
     if measure in MOMENT_MEASURES:
@@ -117,7 +123,8 @@ def _check_request(measure, alpha, q, n_sites, n_samples, observable, threads):
     check_spectrum_size(q, n_sites)
     check_threads(threads)
     d = q**n_sites
-    obs = _default_observable(d, observable) if measure == "observable" else None
+    if measure == "observable" and observable is not None:
+        obs = hermitian_observable(observable, d)
     return measure, d, obs
 
 

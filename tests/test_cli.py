@@ -595,6 +595,11 @@ REJECTED = [
     (["sample", "--sites", "0"], 2),
     (["sample", "--sites", "-1"], 2),
     (["sample", "--sites", "0", "--measure", "observable"], 2),
+    # only one qubit has a default observable, and no register size supplies one,
+    # so the input error comes before the size guards and forms no q**n
+    (["sample", "--measure", "observable", "--sites", "11"], 2),
+    (["sample", "--measure", "observable", "--q", "17"], 2),
+    (["sample", "--measure", "observable", "--sites", "1000000000"], 2),
     (["measure", "--haar", "--dim", "1", "--local-dim", "1"], 2),
     (["measure", "--haar", "--dim", "4", "--local-dim", "0"], 2),
     # bin and point counts are capped before anything of their size is allocated

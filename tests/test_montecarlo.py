@@ -12,6 +12,7 @@ from magicdist import (
     InvalidDimension,
     InvalidEdges,
     InvalidObservable,
+    MissingObservable,
     ResourceLimit,
     SupportMismatch,
     SupportViolation,
@@ -151,6 +152,12 @@ class TestSampling:
                 histogram_measure("n", 2.0, 2, 1, n_samples, 0, [0.0, 1.0])
         with pytest.raises(ValueError):
             sample_measure("observable", 2.0, 3, 1, 10, seed=0)
+
+    @pytest.mark.parametrize("q, n_sites", [(3, 1), (2, 2), (2, 11), (2, 10**9)])
+    def test_only_one_qubit_has_a_default_observable(self, q, n_sites):
+        # refused before the size guards, so a huge register forms no q**n
+        with pytest.raises(MissingObservable, match="observable="):
+            sample_measure("observable", 2.0, q, n_sites, 10, seed=0)
 
     def test_observable_validated_like_expectation(self):
         with pytest.raises(InvalidObservable):
