@@ -60,7 +60,6 @@ from .exact_pdf import (
     characteristic_function_n2,
     critical_points,
     law,
-    m_critical,
     mean_sre_exact,
     n_critical,
     pdf_coherence,
@@ -71,7 +70,6 @@ from .exact_pdf import (
     roots_n2,
     support_for,
     tabulate_pdf,
-    xi_critical,
 )
 from .montecarlo import (
     DivergenceFit,

@@ -34,8 +34,8 @@ from .errors import (
     SingularPoint,
     SupportViolation,
 )
-from .pauli_spectrum import _report, check_order, check_spectrum_size, pauli_moment_batch
-from .pauli_spectrum import pauli_spectrum_fast, weyl_moment_batch
+from .pauli_spectrum import _report, canonical_measure, check_order, check_spectrum_size
+from .pauli_spectrum import measure_rows, pauli_spectrum_fast
 from .statevec import BlochVector, SeededRng, from_bloch, haar_sample, register_shape
 from .statevec import state_from_amplitudes
 
@@ -83,10 +83,10 @@ def _floats(text: str, flag: str, count: int | None = None) -> list[float]:
 
 
 def _measure_name(text: str) -> str:
-    """``montecarlo.canonical_measure`` as an argparse type: argparse prints
+    """``pauli_spectrum.canonical_measure`` as an argparse type: argparse prints
     the message of an ArgumentTypeError, so the valid names reach stderr."""
     try:
-        return montecarlo.canonical_measure(text)
+        return canonical_measure(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -119,9 +119,8 @@ def cmd_measure(args) -> int:
     check_spectrum_size(local_dim, n_sites)
     check_order(args.alpha)
     state = make_state()
-    # the batch kernels reduce the state block by block and never hold its d^2 values
-    kernel = pauli_moment_batch if local_dim == 2 else weyl_moment_batch
-    n_alpha = float(kernel(state.amplitudes[None, :], args.alpha)[0])
+    # the sampler's rows: the batch kernels never hold the state's d^2 values
+    n_alpha = float(measure_rows(state.amplitudes[None, :], "n", args.alpha, local_dim)[0])
     # one qubit: the incompatibility reads its three spectrum values
     squares = pauli_spectrum_fast(state).values if state.dim == 2 else None
     report = _report(n_alpha, args.alpha, state.dim, squares, state)
@@ -174,7 +173,7 @@ def cmd_exact_pdf(args) -> int:
 
 def _sample_figure(args):
     """Sample one histogram; return its CSV bytes and a function drawing its SVG."""
-    measure = montecarlo.canonical_measure(args.measure)
+    measure = canonical_measure(args.measure)
     overlay = None
     if args.overlay_exact:
         if exact_pdf.law(measure, args.alpha, args.q, args.sites) is None:
@@ -232,6 +231,8 @@ def cmd_sample(args) -> int:
 def cmd_fit_divergence(args) -> int:
     window = tuple(_floats(args.window, "--window", 2))
     center = args.center if args.center is not None else exact_pdf.n_critical(args.alpha)
+    if args.scan is not None and not 0.0 < args.scan < math.inf:
+        raise ValueError(f"--scan must be positive and finite, got {args.scan!r}")
     if args.exact:
         curve = exact_pdf.tabulate_pdf("n", alpha=args.alpha, num_points=800,
                                        guard=window[0] / 10)
@@ -239,7 +240,7 @@ def cmd_fit_divergence(args) -> int:
         _json_out({"mode": "exact", **dataclasses.asdict(fit)}, args.output)
         return 0
     # before any state is drawn
-    montecarlo.check_fit_window(window)
+    montecarlo.check_fit_window(window, center)
     montecarlo.check_bootstrap_count(args.bootstrap)
     montecarlo.check_bin_count(args.bins_per_side)
     # geometric bins around the center keep the ln regressor well conditioned
@@ -407,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--outdir", required=True)
     sp.add_argument("--scale", type=float, default=1.0,
                     help="multiply the standard sample counts")
-    sp.add_argument("--only", nargs="*", choices=list(_FIGURES),
+    sp.add_argument("--only", nargs="+", choices=list(_FIGURES),
                     help="subset of figure names")
     add_common(sp, alpha=False)
     sp.set_defaults(func=cmd_reproduce_figures)

@@ -58,8 +58,8 @@ import numpy as np
 
 from .errors import InvalidSpectrum, ResourceLimit, SingularPoint
 from .bessel import j0
-from .pauli_spectrum import MOMENT_MEASURES, check_order, measure_from_n, n_from_measure
-from .pauli_spectrum import support_for
+from .pauli_spectrum import MOMENT_MEASURES, canonical_measure, check_order, measure_from_n
+from .pauli_spectrum import n_from_measure, support_for
 from .statevec import BlochVector
 
 DIVERGENCE_SLOPE_N2 = 3.0 / (math.sqrt(2.0) * math.pi)  # 0.675237...
@@ -114,9 +114,10 @@ class Law:
 
 
 def law(measure: str, alpha: float = 2.0, q: int = 2, n_sites: int = 1) -> Law | None:
-    """The exact law of a canonical measure on a register, or None.  A
-    moment measure of one qubit has one at every order, the image of
-    [3^(1-alpha), 1] and n_c; its density is closed-form at alpha = 2."""
+    """The exact law of a measure (``canonical_measure``) on a register, or
+    None.  A moment measure of one qubit has one at every order, the image
+    of [3^(1-alpha), 1] and n_c; its density is closed-form at alpha = 2."""
+    measure = canonical_measure(measure)
     if measure not in MOMENT_MEASURES or (q, n_sites) != (2, 1):
         return None
     c = float(measure_from_n(n_critical(alpha), measure, alpha, 2))
@@ -130,14 +131,6 @@ def _check_exact(variable: str, alpha: float, tol: float) -> Law:
         raise NotImplementedError(f"no closed-form {variable} density at alpha = {alpha:g}")
     _check_tol(tol)
     return exact
-
-
-def xi_critical(alpha: float) -> float:
-    return law("xi", alpha).singular_points[0]
-
-
-def m_critical(alpha: float) -> float:
-    return law("m", alpha).singular_points[0]
 
 
 @dataclass(frozen=True)
@@ -760,7 +753,7 @@ def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: 
     points, both support edges included, and at most ``MAX_POINTS``.  The
     whole grid is one call of the N_2 engine.
     """
-    v = variable.lower()
+    v = canonical_measure(variable)
     if num_points < 2:
         raise ValueError(f"num_points must be at least 2, got {num_points}")
     if num_points > MAX_POINTS:

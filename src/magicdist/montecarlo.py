@@ -2,16 +2,17 @@
 divergence fits and goodness-of-fit against the exact curves.
 
 Sampling is deterministic for a given seed regardless of worker count:
-samples are produced in fixed chunks of 4096, chunk i drawing from the
-Philox stream (seed, stream_id=i).  ``sample_measure`` is the one chunk
-engine: it yields the chunks in stream order and, with several threads,
-keeps at most two per thread in flight, so memory stays bounded.  The
-other samplers only reduce its stream (concatenation, sums, integer bin
-counts), so any thread count reproduces the serial result bit for bit;
-the per-chunk part of a reduction runs in the workers.
+chunk i holds up to 4096 samples from the Philox stream (seed, i), valued
+by one call of ``pauli_spectrum.measure_rows``.  ``sample_measure`` is the
+one chunk engine: it yields the chunks in stream order and, with several
+threads, keeps at most two per thread in flight, so memory stays bounded.
+The other samplers only reduce its stream (concatenation, sums, integer
+bin counts), so any thread count reproduces the serial result bit for
+bit; the per-chunk part of a reduction runs in the workers.
 
-``histogram_measure`` alone sets the range of a bin count and decides
-what an out-of-range sample means (a count, or a bug on a ``law``'s support).
+``histogram_measure`` alone sets the range of a bin count, refuses bins
+too narrow for a finite density and decides what an out-of-range sample
+means (a count, or a bug on a ``law``'s support).
 """
 from __future__ import annotations
 
@@ -31,9 +32,8 @@ from .errors import (
     SupportViolation,
 )
 from .exact_pdf import PdfCurve, law
-from .pauli_spectrum import _coherence_rows, check_order, check_spectrum_size, hermitian_observable
-from .pauli_spectrum import MOMENT_MEASURES, measure_from_n
-from .pauli_spectrum import pauli_moment_batch, weyl_moment_batch
+from .pauli_spectrum import MOMENT_MEASURES, canonical_measure, check_order, check_spectrum_size
+from .pauli_spectrum import hermitian_observable, measure_rows
 from .statevec import SeededRng, check_register, haar_block
 
 CHUNK_SIZE = 4096
@@ -41,34 +41,6 @@ CHUNK_SIZE = 4096
 # peaks near 192 MiB at ten qubits, so the cap bounds that case near 3 GiB
 MAX_THREADS = 16
 MAX_BINS = 2**20  # most bins a bin count may ask for
-
-MEASURES = (*MOMENT_MEASURES, "coherence", "observable")
-
-_ALIASES = {
-    "n": "n", "n_alpha": "n",
-    "xi": "xi", "xi_alpha": "xi",
-    "m": "m", "m_alpha": "m",
-    "mlin": "mlin", "m_lin": "mlin",
-    "coherence": "coherence",
-    "observable": "observable", "observableexpectation": "observable",
-}
-
-
-def canonical_measure(name: str) -> str:
-    key = name.strip().lower()
-    if key not in _ALIASES:
-        raise ValueError(f"unknown measure {name!r}; expected one of {MEASURES}")
-    return _ALIASES[key]
-
-
-def _measure_chunk(states, measure, alpha, q, n_sites, observable):
-    if measure == "coherence":
-        return _coherence_rows(states)
-    if measure == "observable":
-        vals = np.einsum("bi,ij,bj->b", states.conj(), observable, states)
-        return vals.real
-    kernel = pauli_moment_batch if q == 2 else weyl_moment_batch
-    return measure_from_n(kernel(states, alpha), measure, alpha, q**n_sites)
 
 
 def _default_observable(q: int, n_sites: int) -> np.ndarray:
@@ -141,7 +113,7 @@ def sample_measure(measure, alpha, q, n_sites, n_samples, seed, observable=None,
 
     def work(i):
         states = haar_block(d, SeededRng(seed, i), min(CHUNK_SIZE, n_samples - i * CHUNK_SIZE))
-        values = _measure_chunk(states, measure, alpha, q, n_sites, obs)
+        values = measure_rows(states, measure, alpha, q, obs)
         return values if post is None else post(values)
 
     return _in_order(work, -(-n_samples // CHUNK_SIZE), threads)
@@ -242,6 +214,7 @@ def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observ
     the support of the measure's ``law``, else its value range ([0, d-1]
     for the coherence, the observable's extreme eigenvalues), else the first
     ``min(n_samples, 20000)`` samples widened by 5% of their span each side.
+    A bin narrower than 1 / (largest float) raises ``InvalidEdges``.
     Samples outside the edges are counted in ``n_below``/``n_above``, but
     raise ``SupportViolation`` when the edges cover the support of a law,
     which holds every value.  The result is identical for every thread count.
@@ -262,6 +235,9 @@ def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observ
             span = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
         edges = np.linspace(*span, edges + 1)
     edges = _check_edges(edges)
+    with np.errstate(over="ignore"):  # the density of such a bin would overflow
+        if not np.isfinite(1.0 / np.diff(edges)).all():
+            raise InvalidEdges("bins narrower than 1 / (largest float) have no finite density")
     if head:
         binned = (_bin_chunk(c, edges) for c in itertools.chain(head, stream))
     else:
@@ -319,8 +295,10 @@ _BOOTSTRAP_BLOCK = 1 << 20
 MIN_BOOTSTRAP = 10
 
 
-def check_fit_window(window):
-    """Raise ValueError unless ``window`` is a pair with 0 < eps_min < eps_max."""
+def check_fit_window(window, center: float):
+    """Raise ValueError unless ``center`` is finite and 0 < eps_min < eps_max."""
+    if not np.isfinite(center):
+        raise ValueError(f"need a finite center, got {center!r}")
     if len(window) != 2 or not 0.0 < window[0] < window[1]:
         raise ValueError(f"need 0 < eps_min < eps_max, got {window!r}")
 
@@ -333,7 +311,7 @@ def check_bootstrap_count(n_boot: int):
 
 def _window_mask(x, center, window, side) -> np.ndarray:
     """Which abscissas ``x`` lie inside the fit window on the chosen side."""
-    check_fit_window(window)
+    check_fit_window(window, center)
     eps_min, eps_max = window
     delta = x - center
     keep = (np.abs(delta) > eps_min) & (np.abs(delta) < eps_max)

@@ -1,9 +1,10 @@
 """All Pauli (or Weyl-Heisenberg) expectation moduli of a state, and the
 measures derived from them: the 2-alpha moment N_alpha, stabilizer purity,
 stabilizer Renyi entropy (nats), its linear variant, incompatibility and
-l1 coherence.  ``measure_from_n`` and its inverse ``n_from_measure`` are
-the one definition of the purity, entropy and linear entropy in terms of
-N_alpha; the sampler and the exact densities call them too.
+l1 coherence.  ``canonical_measure`` is the one rule for a measure's name;
+``measure_from_n`` and its inverse ``n_from_measure`` define the purity,
+entropy and linear entropy in terms of N_alpha; ``measure_rows`` is the
+one evaluator of a measure on rows of amplitudes, for every caller.
 
 Spectra store the d^2 - 1 nontrivial values |<P>|^2 indexed row-major over
 the mask pair (a, b) with (0, 0) skipped, where P ~ X^a Z^b up to phase.
@@ -35,9 +36,9 @@ doubling is exact, so |H> gives N_2 = 0.5 to the bit.
 The batch kernel ``pauli_moment_batch`` routes d = 2 around the cosets:
 it squares the Bloch components of ``statevec.bloch_components`` in
 place, divides them by their sum and clips N_alpha into
-``support_for("n", alpha)``.  That is the one one-qubit kernel: the
-sampler runs it on every chunk and ``magicdist measure`` on one state, so
-both give the same bits.
+``support_for("n", alpha)``.  That is the one one-qubit kernel: through
+``measure_rows`` the sampler runs it on every chunk and ``magicdist
+measure`` on one state, so both give the same bits.
 """
 from __future__ import annotations
 
@@ -372,6 +373,19 @@ def check_order(alpha: float):
 
 # the measures that are functions of N_alpha alone, through ``measure_from_n``
 MOMENT_MEASURES = ("n", "xi", "m", "mlin")
+MEASURES = (*MOMENT_MEASURES, "coherence", "observable")
+
+_ALIASES = {**{name: name for name in MEASURES}, "n_alpha": "n", "xi_alpha": "xi",
+            "m_alpha": "m", "m_lin": "mlin", "observableexpectation": "observable"}
+
+
+def canonical_measure(name: str) -> str:
+    """The ``MEASURES`` name of an alias, in any case and with blanks around
+    it: the one name rule of every function that takes a measure."""
+    key = name.strip().lower()
+    if key not in _ALIASES:
+        raise ValueError(f"unknown measure {name!r}; expected one of {MEASURES}")
+    return _ALIASES[key]
 
 
 def measure_from_n(n, measure: str, alpha: float, d: int):
@@ -379,8 +393,9 @@ def measure_from_n(n, measure: str, alpha: float, d: int):
 
     ``measure`` is "n" (N_alpha itself), "xi" (stabilizer purity
     Xi = (1 + N)/d), "m" (stabilizer Renyi entropy log(Xi)/(1 - alpha),
-    nats) or "mlin" (linear entropy 1 - Xi).
+    nats) or "mlin" (linear entropy 1 - Xi), or an alias of one.
     """
+    measure = canonical_measure(measure)
     if measure == "n":
         return n
     xi = (1.0 + n) / d
@@ -390,7 +405,7 @@ def measure_from_n(n, measure: str, alpha: float, d: int):
         return np.log(xi) / (1.0 - alpha)
     if measure == "mlin":
         return 1.0 - xi
-    raise ValueError(f"unknown measure {measure!r}")
+    raise ValueError(f"{measure!r} is not a function of N_alpha")
 
 
 def n_from_measure(value, measure: str, alpha: float, d: int):
@@ -399,6 +414,7 @@ def n_from_measure(value, measure: str, alpha: float, d: int):
     The derivative is a number for the affine measures and has the shape
     of ``value`` for the entropy.
     """
+    measure = canonical_measure(measure)
     if measure == "n":
         return value, 1.0
     if measure == "xi":
@@ -411,12 +427,12 @@ def n_from_measure(value, measure: str, alpha: float, d: int):
         # the exact densities one ulp of N moves them by ~1e-11
         e = np.exp(np.asarray((1.0 - alpha) * value, dtype=np.longdouble)).astype(float)[()]
         return d * e - 1.0, d * (alpha - 1.0) * e
-    raise ValueError(f"unknown measure {measure!r}")
+    raise ValueError(f"{measure!r} is not a function of N_alpha")
 
 
 def support_for(variable: str, alpha: float = 2.0) -> tuple[float, float]:
     """Closed support of a moment measure (``MOMENT_MEASURES``) of one qubit."""
-    ends = (measure_from_n(n, variable.lower(), alpha, 2) for n in (3.0 ** (1.0 - alpha), 1.0))
+    ends = (measure_from_n(n, variable, alpha, 2) for n in (3.0 ** (1.0 - alpha), 1.0))
     # + 0.0 turns the entropy's -0.0 at N = 1 into +0.0
     lo, hi = sorted(float(v) + 0.0 for v in ends)
     return lo, hi
@@ -481,13 +497,7 @@ def _incompatibility(squares: np.ndarray, alpha: float) -> float:
 
 def coherence_l1(s: PureState) -> float:
     """sum_{i != j} |psi_i psi_j*| in the computational basis."""
-    return float(_coherence_rows(s.amplitudes[None, :])[0])
-
-
-def _coherence_rows(states: np.ndarray) -> np.ndarray:
-    """l1 coherence of each row of a (m, d) array of states."""
-    total = np.sum(np.abs(states), axis=1)
-    return np.maximum(total * total - 1.0, 0.0)
+    return float(measure_rows(s.amplitudes[None, :], "coherence", None, s.local_dim)[0])
 
 
 def hermitian_observable(obs, dim: int) -> np.ndarray:
@@ -500,10 +510,15 @@ def hermitian_observable(obs, dim: int) -> np.ndarray:
     return a
 
 
+def _expectation_rows(states: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<psi|A|psi> (complex) for each row psi of a (m, d) array of states."""
+    return np.einsum("bi,ij,bj->b", states.conj(), a, states)
+
+
 def expectation(s: PureState, obs: np.ndarray) -> float:
-    """Real expectation value <psi|A|psi> of a Hermitian observable."""
+    """Real expectation value <psi|A|psi> of a Hermitian observable, as ``measure_rows``."""
     a = hermitian_observable(obs, s.dim)
-    val = complex(np.vdot(s.amplitudes, a @ s.amplitudes))
+    val = complex(_expectation_rows(s.amplitudes[None, :], a)[0])
     if abs(val.imag) > 1e-10:
         raise InvalidObservable(f"expectation has imaginary residue {val.imag!r}")
     return val.real
@@ -565,3 +580,18 @@ def weyl_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
             mods = mods[:, 1:]  # drop the identity
         acc += _power_sum(mods, alpha, axis=1)
     return acc
+
+
+def measure_rows(states: np.ndarray, measure: str, alpha: float, q: int,
+                 observable: np.ndarray | None = None) -> np.ndarray:
+    """The measure of each row of a (m, d) array of states of local dimension
+    q ("observable" needs a Hermitian ``observable``).  The kernels are looked
+    up at call time, so whatever replaces them here sees every call."""
+    measure = canonical_measure(measure)
+    if measure == "coherence":  # (sum_i |psi_i|)^2 - 1
+        total = np.sum(np.abs(states), axis=1)
+        return np.maximum(total * total - 1.0, 0.0)
+    if measure == "observable":
+        return _expectation_rows(states, observable).real
+    kernel = pauli_moment_batch if q == 2 else weyl_moment_batch
+    return measure_from_n(kernel(states, alpha), measure, alpha, states.shape[1])

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from magicdist import cli, exact_pdf, montecarlo, statevec, svgplot
+from magicdist import cli, exact_pdf, montecarlo, pauli_spectrum, statevec, svgplot
 from magicdist.cli import main
 from magicdist.errors import SupportViolation
 from magicdist.pauli_spectrum import magic_report, pauli_moment_batch, pauli_spectrum_fast
@@ -187,7 +187,7 @@ class TestExactPdf:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert "unknown measure 'bogus'" in err
-        assert all(repr(name) in err for name in montecarlo.MEASURES)
+        assert all(repr(name) in err for name in pauli_spectrum.MEASURES)
 
     def test_svg_contains_data_table(self, capsys, tmp_path):
         path = tmp_path / "m.svg"
@@ -290,14 +290,14 @@ class TestSample:
                      "--samples", "10"]) == 4
 
     def test_support_violation_exit_1(self, capsys, monkeypatch):
-        measure_chunk = montecarlo._measure_chunk
+        measure_rows = montecarlo.measure_rows
 
         def escaping(*args):
-            values = measure_chunk(*args)
+            values = measure_rows(*args)
             values[0] = 1.0 + 1e-6  # one N_2 value past its exact maximum
             return values
 
-        monkeypatch.setattr(montecarlo, "_measure_chunk", escaping)
+        monkeypatch.setattr(montecarlo, "measure_rows", escaping)
         assert main(["sample", "--samples", "1000", "--bins", "4"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -608,6 +608,18 @@ REJECTED = [
     (["fit-divergence", "--bins-per-side", "10000000000000"], 4),
     (["fit-divergence", "--samples", "200000", "--bins-per-side", "0"], 2),
     (["exact-pdf", "--variable", "N", "--points", "10000000000000"], 4),
+    # the entropy's support is about ln2/(alpha - 1) wide: bins narrower than
+    # 1/finfo.max would have an infinite density
+    (["sample", "--measure", "m", "--alpha", "1e308", "--samples", "1000", "--bins", "4"], 2),
+    # a fit needs a finite center and a finite, positive scan
+    (["fit-divergence", "--scan", "nan"], 2),
+    (["fit-divergence", "--scan", "inf"], 2),
+    (["fit-divergence", "--scan", "0"], 2),
+    (["fit-divergence", "--center", "nan"], 2),
+    (["fit-divergence", "--exact", "--center", "nan"], 2),
+    (["fit-divergence", "--exact", "--center", "inf"], 2),
+    # an empty --only names no figure
+    (["reproduce-figures", "--only"], 2),
 ]
 
 
@@ -628,9 +640,10 @@ def test_rejected_before_any_draw(capsys, monkeypatch, tmp_path, argv, code):
 
     for module in (montecarlo, statevec):
         monkeypatch.setattr(module, "haar_block", recorded(module.haar_block))
-    # nor does any kernel of measure run
-    for name in ("pauli_moment_batch", "weyl_moment_batch", "pauli_spectrum_fast"):
-        monkeypatch.setattr(cli, name, recorded(getattr(cli, name)))
+    # nor does any kernel of measure run: measure_rows looks its kernels up in pauli_spectrum
+    for module, name in ((pauli_spectrum, "pauli_moment_batch"),
+                         (pauli_spectrum, "weyl_moment_batch"), (cli, "pauli_spectrum_fast")):
+        monkeypatch.setattr(module, name, recorded(getattr(module, name)))
     outdir = tmp_path / "figures"
     if argv[0] == "reproduce-figures":
         argv = [*argv, "--outdir", str(outdir)]
@@ -648,6 +661,17 @@ def test_rejected_before_any_draw(capsys, monkeypatch, tmp_path, argv, code):
     assert not outdir.exists()
 
 
+def test_narrow_entropy_bins_keep_finite_densities(capsys):
+    # alpha = 1e304 puts the entropy's support near 7e-305: narrow, but binnable
+    code, out = run_cli(capsys, "sample", "--measure", "m", "--alpha", "1e304",
+                        "--samples", "1000", "--bins", "4")
+    assert code == 0
+    rows = [l.split(",") for l in out.splitlines() if l and l[0].isdigit()]
+    assert len(rows) == 4
+    assert all(math.isfinite(float(r[3])) for r in rows)
+    assert sum(int(r[2]) for r in rows) == 1000
+
+
 @pytest.mark.parametrize("argv, target", [
     (["measure", "--bloch", "1,0,0"], "missing/x.json"),  # its directory does not exist
     (["exact-pdf", "--variable", "N"], "."),  # a directory
@@ -661,7 +685,7 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, target):
 
 @pytest.mark.parametrize("q, sites", [(2, 1), (2, 2), (3, 1)])
 @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
-@pytest.mark.parametrize("measure", montecarlo.MEASURES)
+@pytest.mark.parametrize("measure", pauli_spectrum.MEASURES)
 def test_every_caller_agrees_with_the_law(capsys, monkeypatch, measure, alpha, q, sites):
     exact = exact_pdf.law(measure, alpha, q, sites)
     closed = exact is not None and exact.closed_form
@@ -678,14 +702,14 @@ def test_every_caller_agrees_with_the_law(capsys, monkeypatch, measure, alpha, q
     hist = montecarlo.histogram_measure(*request)
     if exact is not None:
         assert hist.edges.tolist() == np.linspace(*exact.support, 9).tolist()
-    measure_chunk = montecarlo._measure_chunk
+    measure_rows = montecarlo.measure_rows
 
     def escaping(*args):
-        values = measure_chunk(*args)
+        values = measure_rows(*args)
         values[0] = -1.0  # below every support and every value range
         return values
 
-    monkeypatch.setattr(montecarlo, "_measure_chunk", escaping)
+    monkeypatch.setattr(montecarlo, "measure_rows", escaping)
     if exact is None:
         hist = montecarlo.histogram_measure(*request)  # counted, not raised
         assert hist.counts.sum() + hist.n_below + hist.n_above == 300

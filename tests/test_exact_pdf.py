@@ -17,7 +17,7 @@ from magicdist import (
     critical_points,
     fit_log_divergence,
     from_bloch,
-    m_critical,
+    law,
     mean_sre_exact,
     n_critical,
     pdf_coherence,
@@ -30,7 +30,6 @@ from magicdist import (
     support_for,
     tabulate_pdf,
     to_bloch,
-    xi_critical,
     BlochVector,
     haar_moments_n2,
 )
@@ -153,7 +152,7 @@ class TestChangeOfVariable:
         assert err.value.log_slope == pytest.approx(2.0 * slope, rel=1e-12)
         assert err.value.log_intercept == pytest.approx(2.0 * (b - slope * math.log(2.0)),
                                                         rel=1e-12)
-        mc = m_critical(2.0)
+        mc = law("m", 2.0).singular_points[0]
         scale = 2.0 * math.exp(-mc)  # 2 e^((1 - alpha) m_c) (alpha - 1) at alpha = 2
         with pytest.raises(SingularPoint) as err:
             pdf_m(2.0, mc)
@@ -188,8 +187,8 @@ class TestChangeOfVariable:
             pdf_m(3.0, 0.1)
 
     def test_mapped_singularities(self):
-        assert xi_critical(2.0) == pytest.approx(0.75)
-        assert m_critical(2.0) == pytest.approx(math.log(4 / 3))
+        assert law("xi", 2.0).singular_points[0] == pytest.approx(0.75)
+        assert law("m", 2.0).singular_points[0] == pytest.approx(math.log(4 / 3))
         with pytest.raises(SingularPoint) as err:
             pdf_xi(2.0, 0.75)
         assert err.value.log_slope == pytest.approx(2 * DIVERGENCE_SLOPE_N2, rel=1e-9)
@@ -205,7 +204,7 @@ class TestChangeOfVariable:
         assert slope == pytest.approx(2 * DIVERGENCE_SLOPE_N2, rel=0.02)
 
     def test_m_log_divergence_both_sides(self):
-        mc = m_critical(2.0)
+        mc = law("m", 2.0).singular_points[0]
         eps = np.array([1e-4, 1e-5, 1e-6])
         for side in (+1, -1):
             vals = np.array([pdf_m(2.0, mc + side * e, tol=1e-10) for e in eps])

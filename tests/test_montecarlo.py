@@ -16,6 +16,7 @@ from magicdist import (
     ResourceLimit,
     SupportMismatch,
     SupportViolation,
+    PureState,
     build_histogram,
     bootstrap_slope_ci,
     fit_log_divergence,
@@ -29,8 +30,40 @@ from magicdist import (
     SeededRng,
 )
 from magicdist import haar_block, montecarlo
-from magicdist.montecarlo import CHUNK_SIZE, canonical_measure
-from magicdist.pauli_spectrum import measure_from_n
+from magicdist import expectation, haar_sample, law, n_from_measure, support_for
+from magicdist.exact_pdf import Law, PdfCurve
+from magicdist.montecarlo import CHUNK_SIZE
+from magicdist.pauli_spectrum import _ALIASES, canonical_measure, measure_from_n, measure_rows
+
+Z = np.diag([1.0, -1.0])
+
+
+def _outcome(call):
+    """What a call gives, comparable across calls: its value's bits or its error type."""
+    try:
+        value = call()
+    except (ValueError, NotImplementedError) as exc:
+        return type(exc)
+    if isinstance(value, Histogram):
+        return value.edges.tobytes(), value.counts.tobytes()
+    if isinstance(value, PdfCurve):
+        return value.variable, value.abscissas.tobytes(), value.densities.tobytes()
+    if value is None or isinstance(value, Law):
+        return value
+    return np.asarray(value, dtype=float).tobytes()
+
+
+# every public function that takes a measure name, called with that name
+_BY_NAME = {
+    "law": lambda name: law(name, 2.0),
+    "tabulate_pdf": lambda name: tabulate_pdf(name, num_points=20),
+    "support_for": lambda name: support_for(name, 2.0),
+    "measure_from_n": lambda name: measure_from_n(0.4, name, 2.0, 2),
+    "n_from_measure": lambda name: n_from_measure(0.2, name, 2.0, 2),
+    "histogram_measure": lambda name: histogram_measure(name, 2.0, 2, 1, 500, 5, 8),
+    "measure_rows": lambda name: measure_rows(haar_block(2, SeededRng(5), 50), name, 2.0, 2,
+                                              Z.astype(complex)),
+}
 
 
 class TestCanonicalMeasure:
@@ -43,6 +76,31 @@ class TestCanonicalMeasure:
     def test_unknown(self):
         with pytest.raises(ValueError):
             canonical_measure("entropy")
+
+    @pytest.mark.parametrize("function", list(_BY_NAME))
+    @pytest.mark.parametrize("alias", sorted(_ALIASES))
+    def test_every_function_reads_names_by_the_one_rule(self, alias, function):
+        call = _BY_NAME[function]
+        expected = _outcome(lambda: call(_ALIASES[alias]))
+        for spelled in (alias.upper(), f" \t{alias} ", f"  {alias.upper()}\n"):
+            assert _outcome(lambda: call(spelled)) == expected
+
+    @pytest.mark.parametrize("function", list(_BY_NAME))
+    def test_every_function_refuses_an_unknown_name(self, function):
+        with pytest.raises(ValueError, match="unknown measure 'entropy'"):
+            _BY_NAME[function]("entropy")
+
+
+def test_expectation_is_the_samplers_observable_row():
+    # one formula on both routes, so the same bits for every seeded qubit
+    for seed in range(200):
+        sampled = sample_array("observable", 2.0, 2, 1, 1, seed)[0]
+        assert expectation(haar_sample(2, SeededRng(seed)), Z) == sampled
+    # and for the rows of one full chunk
+    states = haar_block(2, SeededRng(11), 200)
+    sampled = sample_array("observable", 2.0, 2, 1, 200, 11)
+    for row, value in zip(states, sampled):
+        assert expectation(PureState(row, 2, 1), Z) == value
 
 
 class TestSampling:
@@ -250,14 +308,14 @@ class TestHistogramMeasure:
         assert h.counts.sum() + h.n_below + h.n_above == 20_000
 
     def test_escape_from_the_support_raises_only_when_the_edges_span_it(self, monkeypatch):
-        measure_chunk = montecarlo._measure_chunk
+        measure_rows = montecarlo.measure_rows
 
         def escaping(*args):
-            values = measure_chunk(*args)
+            values = measure_rows(*args)
             values[0] = 1.0 + 1e-6  # one N_2 value past its exact maximum
             return values
 
-        monkeypatch.setattr(montecarlo, "_measure_chunk", escaping)
+        monkeypatch.setattr(montecarlo, "measure_rows", escaping)
         for edges in (np.linspace(1 / 3, 1.0, 21), 20):
             with pytest.raises(SupportViolation):
                 histogram_measure("n", 2.0, 2, 1, 5000, 22, edges)
@@ -329,7 +387,7 @@ class TestChunkEngine:
             expected = measure_from_n(n_vals, measure, alpha, 2)
             # haar_block's plane-major columns and the C-ordered rows of from_bloch callers
             for layout in (states, np.ascontiguousarray(states)):
-                got = montecarlo._measure_chunk(layout, measure, alpha, 2, 1, None)
+                got = measure_rows(layout, measure, alpha, 2)
                 assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("alpha", [1.5, 2.0, 3.0])
@@ -341,7 +399,7 @@ class TestChunkEngine:
         signs = np.array([[sx, sy, sz] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)])
         states = np.array([from_bloch(BlochVector(*(s / np.sqrt(3.0)))).amplitudes
                            for s in signs])
-        values = montecarlo._measure_chunk(states, "n", alpha, 2, 1, None)
+        values = measure_rows(states, "n", alpha, 2)
         lo = 3.0 ** (1 - alpha)
         assert np.all(values >= lo)
         assert values == pytest.approx(lo, abs=1e-15)
@@ -430,6 +488,16 @@ class TestDivergenceFit:
         h = synthetic_log_histogram()
         with pytest.raises(InsufficientData):
             fit_log_divergence(h, 0.5, (1e-5, 1.5e-5))
+
+    @pytest.mark.parametrize("center", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_center_is_refused(self, center):
+        h = synthetic_log_histogram()
+        with pytest.raises(ValueError, match="finite center"):
+            fit_log_divergence(h, center, (1e-5, 2e-2))
+        with pytest.raises(ValueError, match="finite center"):
+            scan_divergence_center(h, [0.5, center], (1e-4, 1.5e-2))
+        with pytest.raises(ValueError, match="finite center"):
+            bootstrap_slope_ci(h, center, (1e-4, 2e-2), n_boot=20)
 
     def test_smooth_density_fits_flat(self):
         vals = sample_array("coherence", 2.0, 2, 1, 300_000, seed=20)

@@ -110,6 +110,12 @@ SINGLE_FILE = [
                                       "--overlay-exact", "--format", "svg"]),
     # the smallest bin count past the cap: no file, exit 4
     ("sample_bins_cap.csv", ["sample", "--bins", "1048577"]),
+    # an alias of M takes the one name rule: the same bytes as exact_M.csv
+    ("exact_m_alpha.csv", ["exact-pdf", "--variable", "m_alpha"]),
+    # bins narrower than 1 / (largest float) and a non-finite scan: no file, exit 2
+    ("sample_m_alpha1e308.csv", ["sample", "--measure", "m", "--alpha", "1e308",
+                                 "--samples", "1000", "--bins", "4"]),
+    ("fit_scan_nan.json", ["fit-divergence", "--scan", "nan"]),
 ]
 
 
