@@ -212,7 +212,7 @@ def _sample_figure(args):
             marks = overlay.singular_points
         return svgplot.plot_svg(
             series,
-            title=f"{args.measure}/alpha={args.alpha:g}/q={args.q}/n={args.sites}",
+            title=f"{measure}/alpha={args.alpha:g}/q={args.q}/n={args.sites}",
             xlabel=measure,
             marks=marks,
             log_y=args.log_y,

@@ -40,13 +40,14 @@ inverse ``pauli_spectrum.n_from_measure``; P_Mlin(v) = P_Xi(1 - v) = 2 P(1 - 2v)
 The characteristic function chi(k) = E[exp(i k N_2)] reduces, after the
 azimuthal average, to a smooth integral over x = cos(theta) in [0, 1] with
 a J0 factor.  It is taken with composite 32-node Gauss-Legendre panels,
-vectorised over the nodes with scipy's J0, and certified by comparing m
-with 2m panels; Fourier-inverting it reproduces P(n).
+vectorised over the nodes with scipy's J0; Fourier-inverting it
+reproduces P(n).  The exact mean of M_2 is a smooth integral over [0, 1]
+as well, taken with the 12-node panels.  Both go through ``quad``, the one
+loop that doubles the panels until two successive rules agree.
 
-Importing this module loads no scipy.  The 12-node rule is stored as
-literals; scipy.special is imported on the first chi(k), for its 32-node
-rule and J0 (``bessel.j0``), and scipy.integrate on the first
-``mean_sre_exact``, through ``quad``.
+Importing this module loads no scipy, and neither does ``mean_sre_exact``:
+the 12-node rule is stored as literals.  Only chi(k) imports scipy.special,
+on its first call, for its 32-node rule and J0 (``bessel.j0``).
 """
 from __future__ import annotations
 
@@ -460,13 +461,32 @@ def pdf_observable(a: float, a1: float, a2: float) -> float:
     return 1.0 / (a2 - a1) if a1 <= a <= a2 else 0.0
 
 
-def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call so that importing the
-    package does not load scipy.integrate; the benchmark's tracer times it
-    at ``magicdist.exact_pdf.quad``."""
-    from scipy.integrate import quad as scipy_quad
+def quad(func, a, b, tol, nodes, weights, panels=1, max_panels=2**13):
+    """Integral of ``func`` over [a, b] and the difference that certified it.
 
-    return scipy_quad(func, a, b, **kwargs)
+    ``func`` maps an array of abscissas to real or complex values of its
+    shape.  The rule ``nodes``/``weights`` on [0, 1] is applied on
+    ``panels`` equal panels, then on twice as many, until two successive
+    rules agree within ``tol``; the finer one is returned.  Past
+    ``max_panels`` panels ArithmeticError is raised.  It keeps the name
+    the benchmark's tracer patches and times, ``magicdist.exact_pdf.quad``.
+    """
+    weights = (b - a) * weights
+
+    def rule(m):
+        x = a + (b - a) * ((np.arange(m)[:, None] + nodes) / m).ravel()
+        return np.sum(func(x).reshape(m, nodes.size) @ weights) / m
+
+    coarse = rule(panels)
+    while 2 * panels <= max_panels:
+        panels *= 2
+        fine = rule(panels)
+        difference = abs(fine - coarse)
+        if difference <= tol:
+            return fine, difference
+        coarse = fine
+    raise ArithmeticError(f"integral over [{a!r}, {b!r}] not certified to {tol!r} "
+                          f"within {panels} panels")
 
 
 def mean_sre_exact(tol: float = 1e-8) -> float:
@@ -475,18 +495,18 @@ def mean_sre_exact(tol: float = 1e-8) -> float:
     Integral over [0, 1] of
     log(16 / (7x^4 - 6x^2 + 4 sqrt(3x^8 - 5x^6 + 8x^4 - 5x^2 + 3) + 7)),
     which evaluates to 0.2289211... nats (0.3302633... when expressed in
-    bits).  Cross-checked against direct Monte Carlo and against the
-    integral of m times the exact entropy density.
+    bits), taken with 12-node Gauss-Legendre panels (``quad``).
+    Cross-checked against direct Monte Carlo and against the integral of
+    m times the exact entropy density.
     """
     _check_tol(tol)
 
-    def f(x: float) -> float:
+    def f(x: np.ndarray) -> np.ndarray:
         u = x * x
         inner = 3 * u**4 - 5 * u**3 + 8 * u**2 - 5 * u + 3
-        return math.log(16.0 / (7 * u * u - 6 * u + 4 * math.sqrt(inner) + 7))
+        return np.log(16.0 / (7 * u * u - 6 * u + 4 * np.sqrt(inner) + 7))
 
-    val, _ = quad(f, 0.0, 1.0, epsabs=tol, epsrel=1e-12, limit=200)
-    return val
+    return float(quad(f, 0.0, 1.0, tol, _PANEL_NODES, _PANEL_WEIGHTS)[0])
 
 
 @lru_cache(maxsize=1)
@@ -496,28 +516,6 @@ def _chi_rule() -> tuple[np.ndarray, np.ndarray]:
 
     nodes, weights = roots_legendre(32)
     return (nodes + 1.0) / 2.0, weights / 2.0
-
-
-def _chi_panels(k: float, m: int) -> complex:
-    """The chi(k) integral over [0, 1] by m equal 32-node Gauss-Legendre panels."""
-    nodes, weights = _chi_rule()
-    x = ((np.arange(m)[:, None] + nodes) / m).ravel()
-    s4 = (1.0 - x * x) ** 2
-    f = np.exp(1j * k * (x**4 + 0.75 * s4)) * j0(k * s4 / 4.0)
-    return complex(np.sum(f.reshape(m, nodes.size) @ weights) / m)
-
-
-def _chi_certified(k: float, tol: float) -> complex:
-    """Double the panel count until two successive rules agree within tol."""
-    m = 1 + int(abs(k) // _CHI_K_PER_PANEL)
-    coarse = _chi_panels(k, m)
-    while 2 * m <= _CHI_MAX_PANELS:
-        m *= 2
-        fine = _chi_panels(k, m)
-        if abs(fine - coarse) <= tol:
-            return fine
-        coarse = fine
-    raise ArithmeticError(f"chi({k!r}) not certified to {tol!r} within {m} panels")
 
 
 def characteristic_function_n2(k, tol: float = 1e-10):
@@ -535,10 +533,18 @@ def characteristic_function_n2(k, tol: float = 1e-10):
     ks = np.asarray(k, dtype=float)
     if not np.all(np.abs(ks) <= 1e4):
         raise ValueError("characteristic function supported for |k| <= 1e4")
+
+    def chi(kk: float) -> complex:
+        def f(x):
+            s4 = (1.0 - x * x) ** 2
+            return np.exp(1j * kk * (x**4 + 0.75 * s4)) * j0(kk * s4 / 4.0)
+
+        panels = 1 + int(abs(kk) // _CHI_K_PER_PANEL)
+        return complex(quad(f, 0.0, 1.0, tol, *_chi_rule(), panels, _CHI_MAX_PANELS)[0])
+
     if ks.ndim == 0:
-        return _chi_certified(float(ks), tol)
-    out = np.array([_chi_certified(float(kk), tol) for kk in ks.flat], dtype=complex)
-    return out.reshape(ks.shape)
+        return chi(float(ks))
+    return np.array([chi(float(kk)) for kk in ks.flat], dtype=complex).reshape(ks.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,8 @@ def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observ
     ``edges`` may be a bin count (``check_bin_count``): the bins then span
     the support of the measure's ``law``, else its value range ([0, d-1]
     for the coherence, the observable's extreme eigenvalues), else the first
-    ``min(n_samples, 20000)`` samples widened by 5% of their span each side.
+    ``min(n_samples, 20000)`` samples widened by 5% of their span each side;
+    a probe whose values are all equal or not finite raises ``InvalidEdges``.
     A bin narrower than 1 / (largest float) raises ``InvalidEdges``.
     Samples outside the edges are counted in ``n_below``/``n_above``, but
     raise ``SupportViolation`` when the edges cover the support of a law,
@@ -232,6 +233,9 @@ def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observ
                 head.append(next(stream))  # these set the range, then are binned
             probe = np.concatenate(head)[:20000]
             lo, hi = probe.min(), probe.max()
+            if not (np.isfinite(lo) and np.isfinite(hi) and lo < hi):
+                raise InvalidEdges(f"the first {probe.size} samples span no range; "
+                                   "give explicit edges (--window)")
             span = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
         edges = np.linspace(*span, edges + 1)
     edges = _check_edges(edges)

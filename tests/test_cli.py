@@ -672,6 +672,33 @@ def test_narrow_entropy_bins_keep_finite_densities(capsys):
     assert sum(int(r[2]) for r in rows) == 1000
 
 
+# a range probe of equal values (every N_alpha underflows to 0 at alpha = 1e308)
+# spans no range: the message names the probe, not edges the user never gave
+REJECTED_AFTER_PROBE = [
+    (["sample", "--measure", "n", "--alpha", "1e308", "--sites", "2", "--samples", "1000",
+      "--bins", "4"], 2, "the first 1000 samples span no range", 1000),
+    # no chunk is drawn past the probe's five
+    (["sample", "--measure", "n", "--alpha", "1e308", "--sites", "2", "--samples", "100000",
+      "--bins", "4"], 2, "the first 20000 samples span no range", 5 * montecarlo.CHUNK_SIZE),
+]
+
+
+@pytest.mark.parametrize("argv, code, message, drawn", REJECTED_AFTER_PROBE,
+                         ids=[_argv_id(a) for a, *_ in REJECTED_AFTER_PROBE])
+def test_rejected_after_the_range_probe(capsys, monkeypatch, argv, code, message, drawn):
+    counts = []
+
+    def counting(d, rng, count):
+        counts.append(count)
+        return statevec.haar_block(d, rng, count)
+
+    monkeypatch.setattr(montecarlo, "haar_block", counting)
+    assert main(argv) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0] == f"input error: {message}; give explicit edges (--window)"
+    assert sum(counts) == drawn
+
+
 @pytest.mark.parametrize("argv, target", [
     (["measure", "--bloch", "1,0,0"], "missing/x.json"),  # its directory does not exist
     (["exact-pdf", "--variable", "N"], "."),  # a directory

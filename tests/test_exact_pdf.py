@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,8 @@ PDF_N2_REFS = [
 
 MEAN_SRE_NATS = 0.22892114288710578
 MEAN_SRE_BITS = 0.33026339759786131
+# mpmath 1.3.0, mp.quad at 40 digits over [0, 1/2] and [1/2, 1]
+MEAN_SRE_40_DIGITS = "0.22892114288710578057833977338194509535"
 
 def pdf_mlin(alpha, v, tol=1e-10):
     """Density of the linear entropy, through the engine of every mapped variable."""
@@ -323,6 +326,33 @@ class TestMeanSre:
         assert f(0.0) == pytest.approx(lo, abs=1e-14)
         assert f(1.0) == pytest.approx(0.0, abs=1e-14)
         assert quad(f, 0, 1)[0] == pytest.approx(MEAN_SRE_NATS, abs=1e-8)
+
+
+class TestQuad:
+    """The certified panel rule behind ``mean_sre_exact`` and chi(k)."""
+
+    def test_mean_within_half_an_ulp(self):
+        error = Decimal(mean_sre_exact(1e-12)) - Decimal(MEAN_SRE_40_DIGITS)
+        assert abs(error) <= Decimal("1.4e-17")
+
+    def test_exponential(self):
+        tol = 1e-14
+        value, difference = exact_pdf.quad(np.exp, 0.0, 1.0, tol, exact_pdf._PANEL_NODES,
+                                           exact_pdf._PANEL_WEIGHTS)
+        assert abs(value - (math.e - 1.0)) <= 1e-15
+        assert difference <= tol
+
+    def test_complex_integrand_on_a_shifted_interval(self):
+        # Integral_1^3 exp(i x) dx = -i (exp(3i) - exp(i))
+        value, difference = exact_pdf.quad(lambda x: np.exp(1j * x), 1.0, 3.0, 1e-13,
+                                           exact_pdf._PANEL_NODES, exact_pdf._PANEL_WEIGHTS)
+        assert abs(value - (-1j) * (np.exp(3j) - np.exp(1j))) <= 1e-14
+        assert difference <= 1e-13
+
+    def test_a_jump_is_not_certified(self):
+        with pytest.raises(ArithmeticError, match="64 panels"):
+            exact_pdf.quad(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, 1e-12,
+                           exact_pdf._PANEL_NODES, exact_pdf._PANEL_WEIGHTS, max_panels=64)
 
 
 class TestAncillaryPdfs:

@@ -116,6 +116,12 @@ SINGLE_FILE = [
     ("sample_m_alpha1e308.csv", ["sample", "--measure", "m", "--alpha", "1e308",
                                  "--samples", "1000", "--bins", "4"]),
     ("fit_scan_nan.json", ["fit-divergence", "--scan", "nan"]),
+    # an alias of M titles the plot by its canonical name: the same bytes as sample_m.svg
+    ("sample_m_alias.svg", ["sample", "--samples", "20000", "--bins", "50", "--seed", "3",
+                            "--format", "svg", "--measure", " M_ALPHA "]),
+    # the exact mean alone, without a Monte Carlo part
+    ("mean_sre.json", ["mean-sre"]),
+    ("mean_sre_tol1e-12.json", ["mean-sre", "--tol", "1e-12"]),
 ]
 
 
