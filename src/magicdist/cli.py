@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -52,12 +53,14 @@ def _g17(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _csv_bytes(comments, header, rows) -> bytes:
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_g17(v) if isinstance(v, float) else str(v) for v in row))
-    return ("\r\n".join(lines) + "\r\n").encode()
+def _csv_bytes(comments, header, columns, formats) -> bytes:
+    """CSV records of equal-length ``columns``, the j-th written with the
+    printf format ``formats[j]`` ("%.17g" for floats, "%d" for counts)."""
+    head = "".join(f"# {c}\r\n" for c in comments) + ",".join(header) + "\r\n"
+    cols = [np.asarray(col).tolist() for col in columns]
+    record = ",".join(formats) + "\r\n"
+    body = (record * len(cols[0])) % tuple(itertools.chain.from_iterable(zip(*cols)))
+    return (head + body).encode()
 
 
 def _emit(data: bytes, path: str | None):
@@ -147,8 +150,8 @@ def _curve_csv(curve, tol) -> bytes:
         "singular=" + ",".join(_g17(c) for c in curve.singular_points),
         f"integral={curve.integral():.6f}",
     ]
-    rows = list(zip(curve.abscissas.tolist(), curve.densities.tolist()))
-    return _csv_bytes(comments, ["abscissa", "density"], rows)
+    return _csv_bytes(comments, ["abscissa", "density"], [curve.abscissas, curve.densities],
+                      ["%.17g", "%.17g"])
 
 
 def cmd_exact_pdf(args) -> int:
@@ -198,11 +201,9 @@ def _sample_figure(args):
         f"measure={measure} alpha={args.alpha:g} q={args.q} n_sites={args.sites}",
         f"n_samples={args.samples} seed={args.seed} out_of_range={hist.n_below + hist.n_above}",
     ]
-    rows = [
-        (float(hist.edges[i]), float(hist.edges[i + 1]), int(hist.counts[i]), float(dens[i]))
-        for i in range(hist.counts.size)
-    ]
-    csv_payload = _csv_bytes(comments, ["bin_left", "bin_right", "count", "density"], rows)
+    csv_payload = _csv_bytes(comments, ["bin_left", "bin_right", "count", "density"],
+                             [hist.edges[:-1], hist.edges[1:], hist.counts, dens],
+                             ["%.17g", "%.17g", "%d", "%.17g"])
 
     def svg() -> bytes:
         series = [(hist.edges, dens, "#3050b0", "step")]
@@ -234,8 +235,13 @@ def cmd_fit_divergence(args) -> int:
     if args.scan is not None and not 0.0 < args.scan < math.inf:
         raise ValueError(f"--scan must be positive and finite, got {args.scan!r}")
     if args.exact:
-        curve = exact_pdf.tabulate_pdf("n", alpha=args.alpha, num_points=800,
-                                       guard=window[0] / 10)
+        if args.scan is not None:
+            raise ValueError("--scan searches the centers of a sampled fit; "
+                             "--exact fits at --center")
+        # the fit reads only the grid points inside its window
+        curve = exact_pdf.tabulate_pdf(
+            "n", alpha=args.alpha, num_points=800, guard=window[0] / 10,
+            keep=lambda x: montecarlo.window_mask(x, center, window, args.side))
         fit = montecarlo.fit_log_divergence(curve, center, window, side=args.side)
         _json_out({"mode": "exact", **dataclasses.asdict(fit)}, args.output)
         return 0

@@ -90,8 +90,8 @@ _PANEL_WEIGHTS = np.array([
 ])
 _PDF_MAX_DEPTH = 48
 _PDF_MAX_LEVEL = 6
-# nodes per numpy pass; bounds the scratch arrays to a few hundred KiB each
-_PDF_BLOCK_NODES = 2**13
+# nodes per numpy pass; bounds each of the four block buffers to 128 KiB
+_PDF_BLOCK_NODES = 2**14
 
 
 def _check_tol(tol: float):
@@ -175,53 +175,81 @@ def roots_n2(n: float) -> Roots2:
 
 # The integration segments.  Each radicand R is written without the factors
 # of the segment's root ends, which the sin^2 substitution supplies; c holds
-# the task's constants as (k, 1) columns, x is the abscissa, dl = x - lo and
-# dr = hi - x.  Near n = 1/2 the integrand peaks at x = 1/sqrt(2), the shared
-# end of "below_left" and "below_right", so u - 1/2 = (x - 1/sqrt(2)) *
-# (x + 1/sqrt(2)) is formed from the exact distance to that end.
+# the task's constants as (k, 1) columns, x is the abscissa and d the one of
+# dl = x - lo and dr = hi - x that the radicand reads (``_SEGMENTS``).  Near
+# n = 1/2 the integrand peaks at x = 1/sqrt(2), the shared end of
+# "below_left" and "below_right", so u - 1/2 = (x - 1/sqrt(2)) *
+# (x + 1/sqrt(2)) is formed from the exact distance to that end.  A radicand
+# writes R into ``out`` in place, with ``tmp`` and ``d`` as scratch, and
+# multiplies its factors from left to right as its comment writes them.
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _rest_below(c, x, dl, dr):
+def _rest_below(c, x, d, out, tmp):
     # over [x-, x+] (n <= 3/8): R = (x-x-)(x+-x) * 48 (x+x-)(x+x+) ((u-1/2)^2 + (1-2n)/4)
     x_m, x_p, q = c
-    return 48.0 * (x + x_m) * (x + x_p) * ((x * x - 0.5) ** 2 + q)
+    np.add(x, x_m, out=out)
+    out *= 48.0
+    out *= np.add(x, x_p, out=tmp)
+    np.multiply(x, x, out=tmp)
+    tmp -= 0.5
+    tmp *= tmp
+    tmp += q
+    out *= tmp
 
 
-def _rest_below_left(c, x, dl, dr):
-    # over [x-, 1/sqrt(2)]: R = (x-x-) * 48 (x+-x)(x+x-)(x+x+) ((u-1/2)^2 + (1-2n)/4)
-    x_m, x_p, q, xp_gap = c
-    return 48.0 * (xp_gap + dr) * (x + x_m) * (x + x_p) * ((dr * (x + _INV_SQRT2)) ** 2 + q)
+def _rest_peak_side(c, x, d, out, tmp):
+    # over [x-, 1/sqrt(2)] (d = dr, gap = x+ - 1/sqrt(2)) or [1/sqrt(2), x+]
+    # (d = dl, gap = 1/sqrt(2) - x-): R = (x-x-) or (x+-x) times
+    # 48 (gap + d)(x+x-)(x+x+) ((d (x + 1/sqrt(2)))^2 + (1-2n)/4)
+    x_m, x_p, q, gap = c
+    np.add(d, gap, out=out)
+    out *= 48.0
+    out *= np.add(x, x_m, out=tmp)
+    out *= np.add(x, x_p, out=tmp)
+    np.add(x, _INV_SQRT2, out=tmp)
+    tmp *= d
+    tmp *= tmp
+    tmp += q
+    out *= tmp
 
 
-def _rest_below_right(c, x, dl, dr):
-    # over [1/sqrt(2), x+]: R = (x+-x) * 48 (x-x-)(x+x-)(x+x+) ((u-1/2)^2 + (1-2n)/4)
-    x_m, x_p, q, xm_gap = c
-    return 48.0 * (xm_gap + dl) * (x + x_m) * (x + x_p) * ((dl * (x + _INV_SQRT2)) ** 2 + q)
-
-
-def _rest_low(c, x, dl, dr):
-    # over [0, y-]: R = (y- - x) * 48 (u-x-^2)(x+^2-u)(x+y-)(y+-x)(x+y+)
+def _rest_low(c, x, d, out, tmp):
+    # over [0, y-] (d = dr): R = (y- - x) * 48 (u-x-^2)(x+^2-u)(x+y-)(y+-x)(x+y+)
     x_m2, x_p2, y_m, y_p, y_gap = c
-    u = x * x
-    return 48.0 * (u - x_m2) * (x_p2 - u) * (x + y_m) * (y_gap + dr) * (x + y_p)
+    u = np.multiply(x, x, out=tmp)
+    np.subtract(u, x_m2, out=out)
+    out *= 48.0
+    out *= np.subtract(x_p2, u, out=tmp)
+    out *= np.add(x, y_m, out=tmp)
+    d += y_gap
+    out *= d
+    out *= np.add(x, y_p, out=tmp)
 
 
-def _rest_high(c, x, dl, dr):
-    # over [y+, x+]: R = (x-y+)(x+-x) * 48 (u-x-^2)(x+x+)(u-y-^2)(x+y+)
+def _rest_high(c, x, d, out, tmp):
+    # over [y+, x+] (d = dl): R = (x-y+)(x+-x) * 48 (u-x-^2)(x+x+)(u-y-^2)(x+y+)
+    # with u - y-^2 = (dl + y+ - y-)(x + y-)
     x_m2, x_p, y_m, y_p, y_gap = c
-    u_minus_ym2 = (dl + y_gap) * (x + y_m)
-    return 48.0 * (x * x - x_m2) * (x + x_p) * u_minus_ym2 * (x + y_p)
+    np.multiply(x, x, out=out)
+    out -= x_m2
+    out *= 48.0
+    out *= np.add(x, x_p, out=tmp)
+    d += y_gap
+    d *= np.add(x, y_m, out=tmp)
+    out *= d
+    out *= np.add(x, y_p, out=tmp)
 
 
-# (radicand, whether the left end is a root, whether the right end is one)
+# (radicand, whether the left end is a root, whether the right end is one,
+# whether the radicand reads dr rather than dl)
 _SEGMENTS = {
-    "below": (_rest_below, True, True),
-    "below_left": (_rest_below_left, True, False),
-    "below_right": (_rest_below_right, False, True),
-    "low": (_rest_low, False, True),
-    "high": (_rest_high, True, True),
+    "below": (_rest_below, True, True, False),
+    "below_left": (_rest_peak_side, True, False, True),
+    "below_right": (_rest_peak_side, False, True, False),
+    "low": (_rest_low, False, True, True),
+    "high": (_rest_high, True, True, False),
 }
 
 
@@ -271,27 +299,34 @@ def _graded_quadrature(depth: int, level: int, segment: str, tasks: np.ndarray) 
     The row integrates 1/sqrt(R) over its segment [lo, lo + span] after the
     substitution x = lo + span sin^2 t, which supplies the factors of the
     root ends exactly (x - lo = span sin^2 t, hi - x = span cos^2 t), so the
-    integrand in t is smooth wherever the radicand is positive.  Rows go
-    through in blocks of about ``_PDF_BLOCK_NODES`` nodes.
+    integrand in t is smooth wherever the radicand is positive; where it is
+    not, the node contributes 0.  Rows go through in blocks of about
+    ``_PDF_BLOCK_NODES`` nodes, every block in the same four buffers.
     """
-    rest, left_root, right_root = _SEGMENTS[segment]
+    rest, left_root, right_root, reads_dr = _SEGMENTS[segment]
     sin_t, cos_t, weights = _graded_rule(depth, level)
     sin2, cos2 = sin_t * sin_t, cos_t * cos_t
     rows = max(1, _PDF_BLOCK_NODES // weights.size)
     out = np.empty(len(tasks))
+    buffers = np.empty((4, min(rows, len(tasks)), weights.size))
     for start in range(0, len(tasks), rows):
         block = tasks[start:start + rows]
+        x, d, g, tmp = buffers[:, :len(block)]
         lo, span, *consts = (block[:, j, None] for j in range(block.shape[1]))
-        dl = span * sin2
-        dr = span * cos2
-        root = np.sqrt(np.maximum(rest(consts, lo + dl, dl, dr), 0.0))
+        np.add(lo, np.multiply(span, sin2, out=d), out=x)
+        if reads_dr:
+            np.multiply(span, cos2, out=d)
+        rest(consts, x, d, g, tmp)
+        # NaN and negative radicands become 0, whose node the division skips
+        np.sqrt(np.fmax(g, 0.0, out=g), out=g)
         num = 2.0
         if not left_root:
-            num = num * np.sqrt(span) * sin_t
+            num = np.multiply(num * np.sqrt(span), sin_t, out=tmp)
         if not right_root:
-            num = num * np.sqrt(span) * cos_t
-        g = np.divide(num, root, out=np.zeros_like(root), where=root > 0.0)
-        out[start:start + len(block)] = (g * weights).sum(axis=1)
+            num = np.multiply(num * np.sqrt(span), cos_t, out=tmp)
+        np.divide(num, g, out=g, where=g > 0.0)
+        g *= weights
+        out[start:start + len(block)] = g.sum(axis=1)
     return out
 
 
@@ -345,14 +380,15 @@ def _pdf_n2(n: np.ndarray, tol: np.ndarray):
     def integrate(segment, point, lo, span, consts, widths=()):
         """Add the segment [lo, lo + span] to the integral of each point;
         ``widths`` are its features at the ends (see ``_graded_depth``)."""
-        rest, left_root, right_root = _SEGMENTS[segment]
+        rest, left_root, right_root, _ = _SEGMENTS[segment]
         keep = span > 0.0
         if left_root and right_root:
             # sliver between two coalescing roots: exact limit pi / sqrt(rest)
             thin = keep & (span < 1e-13 * np.maximum(np.abs(lo), 1.0))
-            half = span[thin, None] / 2.0
-            r = rest([c[thin, None] for c in consts], lo[thin, None] + half, half, half)
-            np.add.at(total, point[thin], math.pi / np.sqrt(r[:, 0]))
+            half = span[thin] / 2.0
+            r, tmp = np.empty((2, half.size))
+            rest([c[thin] for c in consts], lo[thin] + half, half.copy(), r, tmp)
+            np.add.at(total, point[thin], math.pi / np.sqrt(r))
             keep &= ~thin
         depth = _graded_depth(span[keep], *(w[keep] for w in widths))
         val, err = _certified(segment, np.column_stack([lo, span, *consts])[keep], depth,
@@ -749,7 +785,7 @@ def _refined_grid(lo: float, hi: float, singulars, num_points: int, guard: float
 
 
 def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: float = 1e-9,
-                 guard: float = 1e-5) -> PdfCurve:
+                 guard: float = 1e-5, keep=None) -> PdfCurve:
     """Tabulated exact density of a variable whose ``law`` is closed-form.
 
     The grid refines logarithmically into the divergence from both sides
@@ -757,7 +793,10 @@ def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: 
     interval around the singular abscissa is left to the logarithmic model
     (see ``PdfCurve.integral``).  The base grid has ``num_points >= 2``
     points, both support edges included, and at most ``MAX_POINTS``.  The
-    whole grid is one call of the N_2 engine.
+    whole grid is one call of the N_2 engine.  ``keep``, if given, maps the
+    grid to a boolean mask, and only the points it keeps are evaluated and
+    tabulated: each point is certified on its own, so their densities are
+    those of the whole grid to the bit.
     """
     v = canonical_measure(variable)
     if num_points < 2:
@@ -770,6 +809,8 @@ def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: 
         raise ValueError(f"guard must lie in ({SINGULAR_GUARD / _GUARD_KEEP:.6g}, 0.1), "
                          f"got {guard!r}")
     grid = _refined_grid(*exact.support, exact.singular_points, num_points, guard)
+    if keep is not None:
+        grid = grid[keep(grid)]
     dens, error = _mapped_density(v, alpha, grid, tol)
     return PdfCurve(
         variable=v,
@@ -778,5 +819,5 @@ def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: 
         densities=dens,
         support=exact.support,
         singular_points=exact.singular_points,
-        quadrature_error=float(error.max()),
+        quadrature_error=float(error.max(initial=0.0)),
     )

@@ -313,7 +313,7 @@ def check_bootstrap_count(n_boot: int):
         raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples, got {n_boot}")
 
 
-def _window_mask(x, center, window, side) -> np.ndarray:
+def window_mask(x, center, window, side) -> np.ndarray:
     """Which abscissas ``x`` lie inside the fit window on the chosen side."""
     check_fit_window(window, center)
     eps_min, eps_max = window
@@ -339,7 +339,7 @@ def _fit_points(source, center, window, side):
         keep = np.ones(x.size, dtype=bool)
     else:
         raise TypeError("expected Histogram or PdfCurve")
-    keep &= _window_mask(x, center, window, side)
+    keep &= window_mask(x, center, window, side)
     return x[keep], y[keep]
 
 
@@ -386,7 +386,7 @@ def bootstrap_slope_ci(
     """
     check_bootstrap_count(n_boot)
     x = hist.centers()
-    inside = _window_mask(x, center, window, side)
+    inside = window_mask(x, center, window, side)
     t = -np.log(np.abs(x[inside] - center))
     scale = (hist.total_samples * hist.widths())[inside]
     lam = hist.counts.astype(float)

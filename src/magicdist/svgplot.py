@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 WIDTH, HEIGHT = 760, 480
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64, 16, 28, 44
 
@@ -45,12 +47,16 @@ class _Frame:
             self.y1 = math.log10(max(self.y1, 1e-12))
 
     def px(self, x):
+        """Pixel column of a number or of each value of an array."""
         w = WIDTH - MARGIN_L - MARGIN_R
         return MARGIN_L + (x - self.x0) / (self.x1 - self.x0) * w
 
-    def py(self, y):
+    def py(self, y: np.ndarray) -> np.ndarray:
+        """Pixel row of each value of an array."""
         if self.log_y:
-            y = math.log10(max(y, 10.0**self.y0))
+            # math.log10 per value: numpy's SIMD log10 need not match libm to the last ulp
+            floor = 10.0**self.y0
+            y = np.array([math.log10(max(v, floor)) for v in y.tolist()])
         h = HEIGHT - MARGIN_T - MARGIN_B
         return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * h
 
@@ -99,8 +105,10 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str, title: str) -> list[str]:
     return parts
 
 
-def _polyline(frame: _Frame, xs, ys, color: str) -> str:
-    pts = " ".join(f"{frame.px(x):.2f},{frame.py(y):.2f}" for x, y in zip(xs, ys))
+def _polyline(frame: _Frame, xs: np.ndarray, ys: np.ndarray, color: str) -> str:
+    """The points (xs, ys), two decimals per pixel coordinate, in one format pass."""
+    coords = np.column_stack([frame.px(xs), frame.py(ys)]).ravel().tolist()
+    pts = " ".join(["%.2f,%.2f"] * xs.size) % tuple(coords)
     return f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{pts}"/>'
 
 
@@ -118,10 +126,13 @@ def plot_svg(
     ``style`` is "line" or "step" (step interprets xs as bin edges, one
     longer than ys).  Vertical dashed markers are drawn at ``marks``.
     """
+    series = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), color, style)
+              for xs, ys, color, style in series]
     all_x, all_y = [], []
-    for xs, ys, _color, style in series:
+    for xs, ys, _color, _style in series:
+        xs = xs.tolist()
         all_x.extend([min(xs), max(xs)])
-        vals = [v for v in ys if (v > 0 if log_y else True)]
+        vals = [v for v in ys.tolist() if (v > 0 if log_y else True)]
         if vals:
             all_y.extend([min(vals), max(vals)])
     if not all_y:
@@ -133,13 +144,10 @@ def plot_svg(
     body = _axes(frame, xlabel, ylabel, title)
     for xs, ys, color, style in series:
         if style == "step":
-            sx, sy = [], []
-            for i, v in enumerate(ys):
-                sx.extend([xs[i], xs[i + 1]])
-                sy.extend([v, v])
-            body.append(_polyline(frame, sx, sy, color))
-        else:
-            body.append(_polyline(frame, xs, ys, color))
+            # each bin [xs[i], xs[i + 1]] at height ys[i]
+            xs = np.column_stack([xs[:ys.size], xs[1:ys.size + 1]]).ravel()
+            ys = np.repeat(ys, 2)
+        body.append(_polyline(frame, xs, ys, color))
     for m in marks:
         x = frame.px(m)
         body.append(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -416,6 +417,38 @@ class TestFitDivergence:
         # own 1e-9 guard it is an input error, not a statistical one
         assert main(["fit-divergence", "--exact", "--window", window]) == 2
         assert "guard must lie" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("side", ["left", "right", "both"])
+    @pytest.mark.parametrize("window", [(1e-5, 1e-3), (2e-4, 2e-2)])
+    def test_exact_window_equals_the_full_grid_to_the_bit(self, capsys, side, window):
+        center = exact_pdf.n_critical(2.0)
+        full = exact_pdf.tabulate_pdf("n", num_points=800, guard=window[0] / 10)
+        inside = montecarlo.window_mask(full.abscissas, center, window, side)
+        part = exact_pdf.tabulate_pdf(
+            "n", num_points=800, guard=window[0] / 10,
+            keep=lambda x: montecarlo.window_mask(x, center, window, side))
+        assert part.abscissas.tobytes() == full.abscissas[inside].tobytes()
+        assert part.densities.tobytes() == full.densities[inside].tobytes()
+        code, out = run_cli(capsys, "fit-divergence", "--exact", "--side", side,
+                            "--window", f"{window[0]!r},{window[1]!r}")
+        assert code == 0
+        fit = montecarlo.fit_log_divergence(full, center, window, side)
+        assert json.loads(out) == {"schema": cli.SCHEMA, "mode": "exact",
+                                   **json.loads(json.dumps(dataclasses.asdict(fit)))}
+
+    # 4, 2 and no grid points inside the window
+    @pytest.mark.parametrize("window", ["1e-6,1.3e-6", "3e-5,3.1e-5", "3e-5,3.01e-5"])
+    def test_exact_window_with_too_few_points_exit_5(self, capsys, window):
+        assert main(["fit-divergence", "--exact", "--window", window]) == 5
+        assert "need at least 6" in capsys.readouterr().err
+
+    def test_exact_refuses_a_scan_before_tabulating(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("tabulated before refusing --scan")
+
+        monkeypatch.setattr(exact_pdf, "tabulate_pdf", refuse)
+        assert main(["fit-divergence", "--exact", "--scan", "0.01"]) == 2
+        assert capsys.readouterr().err.startswith("input error: --scan")
 
     def test_insufficient_exit_5(self):
         code = main(["fit-divergence", "--samples", "5000", "--seed", "2",

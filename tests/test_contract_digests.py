@@ -49,3 +49,29 @@ def test_no_warning_exits_0(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert len(captured.out.splitlines()) == len(tool.SINGLE_FILE)
+
+
+# the digests tools/contract_digests.py prints for these rows, the same as
+# before the CSV and SVG writers went columnar; a moved byte of a CSV, an SVG
+# (linear or log_y, line or step) or the exact fit fails here, not only in a
+# diff of the tool's whole listing
+PINNED = {
+    "exact_N.csv": "3ec2538340a911cb16c93f1092252e157bfed852203b6f4859d5d439e346c7cd",
+    "exact_M_log_y.svg": "b93fc48824d624914e07766661e6180eb73f08d7caca5f9a8784987883d22875",
+    "sample_overlay.svg": "6d55079acd50df1a494b7700f5eabeaa37d45167e129ba1e6ec26631ad69a864",
+    "sample_n.csv": "1b872c6caca384ae13fa2d18f15df8c14642eb885015a7636aa6a501d807daa7",
+    "fit_exact.json": "a9d49a330404b15440320e05b9303664d201320a378c6e8fb431ba7faa4e0356",
+}
+
+
+def test_pinned_rows_keep_their_bytes(tmp_path):
+    tool = load_tool()
+    rows = dict(tool.SINGLE_FILE)
+    warned = []
+    got = {}
+    for name in PINNED:
+        path = tmp_path / name
+        assert tool._run([*rows[name], "-o", str(path)], name, warned) == 0
+        got[name] = tool._digest(path)
+    assert warned == []
+    assert got == PINNED
