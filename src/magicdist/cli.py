@@ -234,6 +234,10 @@ def cmd_fit_divergence(args) -> int:
     center = args.center if args.center is not None else exact_pdf.n_critical(args.alpha)
     if args.scan is not None and not 0.0 < args.scan < math.inf:
         raise ValueError(f"--scan must be positive and finite, got {args.scan!r}")
+    # both modes refuse what the sampled fit refuses, before any tabulation or draw
+    montecarlo.check_fit_window(window, center)
+    montecarlo.check_bootstrap_count(args.bootstrap)
+    montecarlo.check_bin_count(args.bins_per_side)
     if args.exact:
         if args.scan is not None:
             raise ValueError("--scan searches the centers of a sampled fit; "
@@ -245,10 +249,6 @@ def cmd_fit_divergence(args) -> int:
         fit = montecarlo.fit_log_divergence(curve, center, window, side=args.side)
         _json_out({"mode": "exact", **dataclasses.asdict(fit)}, args.output)
         return 0
-    # before any state is drawn
-    montecarlo.check_fit_window(window, center)
-    montecarlo.check_bootstrap_count(args.bootstrap)
-    montecarlo.check_bin_count(args.bins_per_side)
     # geometric bins around the center keep the ln regressor well conditioned
     wings = np.geomspace(window[0] / 2, window[1] * 2, args.bins_per_side + 1)
     edges = np.unique(np.concatenate([center - wings, center + wings]))

@@ -21,15 +21,16 @@ beyond an end, or that peak) sits at the end of a segment.
 One engine evaluates the density for an array of n.  Each segment is
 integrated in t by composite 12-node Gauss-Legendre panels, graded
 geometrically toward both ends as deep as its closest root or peak needs
-(``_graded_depth``).  The rule is certified against the refined mesh
-(every panel halved plus one more graded layer): a segment is accepted
-once the two agree within its share of ``tol``, only the others are
-refined, and past ``_PDF_MAX_LEVEL`` refinements ArithmeticError is
+(``_graded_depth``).  ``_refine`` certifies the rule against the refined
+mesh (every panel halved plus one more graded layer): a segment is
+accepted once the two agree within its share of ``tol``, only the others
+are refined, and past ``_PDF_MAX_LEVEL`` refinements ArithmeticError is
 raised.  All segments of one kind and mesh go through together, in
 blocks of at most ``_PDF_BLOCK_NODES`` nodes, so a whole tabulation costs
 a few numpy passes in bounded memory.  Near n = 1/2 the density behaves
 like -3/(sqrt(2) pi) * ln|n - 1/2| + b with b fitted once from regular
-points.
+points.  ``pdf_n2_exact`` goes through ``law`` and ``_mapped_density``
+like every other density.
 
 The stabilizer purity Xi, the entropy M and the linear entropy M_lin are
 functions of N (``pauli_spectrum.measure_from_n``).  Their supports and
@@ -42,8 +43,9 @@ azimuthal average, to a smooth integral over x = cos(theta) in [0, 1] with
 a J0 factor.  It is taken with composite 32-node Gauss-Legendre panels,
 vectorised over the nodes with scipy's J0; Fourier-inverting it
 reproduces P(n).  The exact mean of M_2 is a smooth integral over [0, 1]
-as well, taken with the 12-node panels.  Both go through ``quad``, the one
-loop that doubles the panels until two successive rules agree.
+as well, taken with the 12-node panels.  Both go through ``quad``, which
+doubles the panels up to ``_MAX_PANELS`` in ``_refine``, the loop that
+certifies the density too.
 
 Importing this module loads no scipy, and neither does ``mean_sre_exact``:
 the 12-node rule is stored as literals.  Only chi(k) imports scipy.special,
@@ -64,14 +66,13 @@ from .pauli_spectrum import n_from_measure, support_for
 from .statevec import BlochVector
 
 DIVERGENCE_SLOPE_N2 = 3.0 / (math.sqrt(2.0) * math.pi)  # 0.675237...
-N2_SUPPORT = (1.0 / 3.0, 1.0)
 SINGULAR_GUARD = 1e-9
 _TOL_RANGE = (1e-12, 1e-4)
 MAX_POINTS = 2**20  # most base-grid points a tabulation accepts
 
 # chi(k): composite panels of a 32-node Gauss-Legendre rule (``_chi_rule``)
 _CHI_K_PER_PANEL = 16.0
-_CHI_MAX_PANELS = 8192
+_MAX_PANELS = 2**13  # most panels ``quad`` refines to, for chi(k) and the mean of M_2
 
 # N_2 density: 12-node Gauss-Legendre panels on meshes graded toward both
 # ends of each segment in the sin^2 variable (see ``_graded_rule``), at
@@ -165,8 +166,9 @@ def _root_squares(n):
 
 
 def roots_n2(n: float) -> Roots2:
-    if not N2_SUPPORT[0] <= n <= N2_SUPPORT[1]:
-        raise ValueError(f"n={n!r} outside the support {N2_SUPPORT}")
+    lo, hi = law("n").support
+    if not lo <= n <= hi:
+        raise ValueError(f"n={n!r} outside the support {(lo, hi)}")
     x_m2, x_p2, y_m2, y_p2, _, _ = (float(r) for r in _root_squares(n))
     if n > 0.5:
         return Roots2(None, math.sqrt(x_p2), math.sqrt(y_m2), math.sqrt(y_p2))
@@ -330,52 +332,58 @@ def _graded_quadrature(depth: int, level: int, segment: str, tasks: np.ndarray) 
     return out
 
 
-def _certified(segment: str, tasks: np.ndarray, depth: np.ndarray, tol: np.ndarray):
-    """Integral of each task row and the difference that certified it.
+def _refine(rule, tol: np.ndarray, max_level: int, failure):
+    """Value of each row and the difference that certified it: a row is
+    accepted once ``rule(level, rows)`` (the rows index ``tol``) at two
+    successive levels agree within its ``tol``, only the others go on to
+    the next level, and past ``max_level`` ArithmeticError(failure(row))
+    is raised for the first row left."""
+    rows = np.arange(len(tol))
+    coarse = rule(0, rows)
+    value = np.empty_like(coarse)
+    error = np.empty(len(tol))
+    for level in range(1, max_level + 1):
+        fine = rule(level, rows)
+        diff = np.abs(fine - coarse)
+        ok = diff <= tol[rows]
+        value[rows[ok]] = fine[ok]
+        error[rows[ok]] = diff[ok]
+        rows, coarse = rows[~ok], fine[~ok]
+        if not rows.size:
+            return value, error
+    raise ArithmeticError(failure(rows[0]))
 
-    A row is accepted once its rules at two successive levels agree within
-    its ``tol``; only the rows that do not agree go on to the next level.
-    Past ``_PDF_MAX_LEVEL`` the rule raises ArithmeticError.
-    """
+
+def _certified(segment: str, tasks: np.ndarray, depth: np.ndarray, tol: np.ndarray):
+    """Integral of each task row and the difference that certified it, by
+    ``_refine`` over the levels of each depth's graded rule."""
     value = np.empty(len(tasks))
     error = np.empty(len(tasks))
     for d in np.unique(depth):
-        rows = np.flatnonzero(depth == d)
-        coarse = _graded_quadrature(d, 0, segment, tasks[rows])
-        for level in range(1, _PDF_MAX_LEVEL + 1):
-            fine = _graded_quadrature(d, level, segment, tasks[rows])
-            diff = np.abs(fine - coarse)
-            ok = diff <= tol[rows]
-            value[rows[ok]] = fine[ok]
-            error[rows[ok]] = diff[ok]
-            rows, coarse = rows[~ok], fine[~ok]
-            if not rows.size:
-                break
-        if rows.size:
-            raise ArithmeticError(f"N_2 density not certified to {tol[rows[0]]:g} within "
-                                  f"{_PDF_MAX_LEVEL} levels ({segment} segment)")
+        group = np.flatnonzero(depth == d)
+        value[group], error[group] = _refine(
+            lambda level, rows: _graded_quadrature(d, level, segment, tasks[group[rows]]),
+            tol[group], _PDF_MAX_LEVEL,
+            lambda row: f"N_2 density not certified to {tol[group[row]]:g} within "
+                        f"{_PDF_MAX_LEVEL} levels ({segment} segment)")
     return value, error
 
 
 def _pdf_n2(n: np.ndarray, tol: np.ndarray):
-    """Density of N_2 at each n of an array, with the error that certified it.
+    """Density of N_2 at each n of an array inside the support of its
+    ``law``, with the error that certified it.
 
-    Zero outside [1/3, 1]; raises SingularPoint if any n lies within
-    ``SINGULAR_GUARD`` of 1/2.  The integral runs over [x-, x+] up to
-    n = 3/8, over [x-, 1/sqrt(2)] and [1/sqrt(2), x+] up to 1/2, and over
-    [0, y-] and [y+, x+] above.  Each segment is certified to tol pi/8, so
-    each density is within its ``tol``.
+    Raises SingularPoint if any n lies within ``SINGULAR_GUARD`` of 1/2.
+    The integral runs over [x-, x+] up to n = 3/8, over [x-, 1/sqrt(2)]
+    and [1/sqrt(2), x+] up to 1/2, and over [0, y-] and [y+, x+] above.
+    Each segment is certified to tol pi/8, so each density is within it.
     """
-    dens = np.zeros(n.shape)
-    error = np.zeros(n.shape)
-    inside = np.flatnonzero((N2_SUPPORT[0] <= n) & (n <= N2_SUPPORT[1]))
-    v = n[inside]
-    if np.any(np.abs(v - 0.5) <= SINGULAR_GUARD):
+    if np.any(np.abs(n - 0.5) <= SINGULAR_GUARD):
         # the fit points sit at 1e-4 and 1e-5, well outside this guard
         raise SingularPoint(0.5, DIVERGENCE_SLOPE_N2, n2_log_intercept())
-    total = np.zeros(v.size)
-    total_err = np.zeros(v.size)
-    seg_tol = tol[inside] * (math.pi / 8.0)
+    total = np.zeros(n.size)
+    total_err = np.zeros(n.size)
+    seg_tol = tol * (math.pi / 8.0)
 
     def integrate(segment, point, lo, span, consts, widths=()):
         """Add the segment [lo, lo + span] to the integral of each point;
@@ -396,33 +404,31 @@ def _pdf_n2(n: np.ndarray, tol: np.ndarray):
         np.add.at(total, point[keep], val)
         np.add.at(total_err, point[keep], err)
 
-    x_m2, x_p2, y_m2, y_p2, gap_y2, gap_xy2 = _root_squares(v)
+    x_m2, x_p2, y_m2, y_p2, gap_y2, gap_xy2 = _root_squares(n)
     x_p = np.sqrt(x_p2)
     # n <= 3/8: one segment; up to 1/2: cut at its interior peak 1/sqrt(2) < x+
-    b = np.flatnonzero(v <= 0.375)
+    b = np.flatnonzero(n <= 0.375)
     x_m = np.sqrt(np.maximum(x_m2[b], 0.0))
-    integrate("below", b, x_m, x_p[b] - x_m, [x_m, x_p[b], (1.0 - 2.0 * v[b]) / 4.0])
-    b = np.flatnonzero((v > 0.375) & (v < 0.5))
+    integrate("below", b, x_m, x_p[b] - x_m, [x_m, x_p[b], (1.0 - 2.0 * n[b]) / 4.0])
+    b = np.flatnonzero((n > 0.375) & (n < 0.5))
     x_m = np.sqrt(x_m2[b])
-    q = (1.0 - 2.0 * v[b]) / 4.0
+    q = (1.0 - 2.0 * n[b]) / 4.0
     # x+ - 1/sqrt(2) = (8n - 3) / (2 (2s + 1) (x+ + 1/sqrt(2))), s = 3 x+^2 - 1
-    xp_gap = (8.0 * v[b] - 3.0) / (2.0 * (6.0 * x_p2[b] - 1.0) * (x_p[b] + _INV_SQRT2))
+    xp_gap = (8.0 * n[b] - 3.0) / (2.0 * (6.0 * x_p2[b] - 1.0) * (x_p[b] + _INV_SQRT2))
     xm_gap = _INV_SQRT2 - x_m
     # the peak (u - 1/2)^2 ~ q spans |x - 1/sqrt(2)| ~ sqrt(q/2)
     peak = np.sqrt(q / 2.0)
     integrate("below_left", b, x_m, xm_gap, [x_m, x_p[b], q, xp_gap], [2.0 * x_m, xp_gap, peak])
     integrate("below_right", b, np.full(b.size, _INV_SQRT2), xp_gap, [x_m, x_p[b], q, xm_gap], [peak])
 
-    a = np.flatnonzero(v > 0.5)
+    a = np.flatnonzero(n > 0.5)
     y_m, y_p = np.sqrt(y_m2[a]), np.sqrt(y_p2[a])
     y_gap = gap_y2[a] / (y_p + y_m)
     integrate("low", a, np.zeros(a.size), y_m, [x_m2[a], x_p2[a], y_m, y_p, y_gap],
               [np.sqrt(-x_m2[a]), y_gap])
     integrate("high", a, y_p, gap_xy2[a] / (x_p[a] + y_p), [x_m2[a], x_p[a], y_m, y_p, y_gap],
               [y_gap])
-    dens[inside] = 4.0 / math.pi * total
-    error[inside] = 4.0 / math.pi * total_err
-    return dens, error
+    return 4.0 / math.pi * total, 4.0 / math.pi * total_err
 
 
 @lru_cache(maxsize=4)
@@ -442,8 +448,7 @@ def pdf_n2_exact(n: float, tol: float = 1e-10) -> float:
     Returns 0 outside [1/3, 1]; raises SingularPoint within 1e-9 of the
     divergent abscissa n = 1/2, carrying the fitted logarithmic model.
     """
-    _check_tol(tol)
-    return float(_pdf_n2(np.array([n], dtype=float), np.array([tol]))[0][0])
+    return float(_mapped_density("n", 2.0, np.array([n], dtype=float), tol)[0][0])
 
 
 def _mapped_density(variable: str, alpha: float, x: np.ndarray, tol: float):
@@ -497,32 +502,28 @@ def pdf_observable(a: float, a1: float, a2: float) -> float:
     return 1.0 / (a2 - a1) if a1 <= a <= a2 else 0.0
 
 
-def quad(func, a, b, tol, nodes, weights, panels=1, max_panels=2**13):
+def quad(func, a, b, tol, nodes, weights, panels=1):
     """Integral of ``func`` over [a, b] and the difference that certified it.
 
     ``func`` maps an array of abscissas to real or complex values of its
     shape.  The rule ``nodes``/``weights`` on [0, 1] is applied on
     ``panels`` equal panels, then on twice as many, until two successive
-    rules agree within ``tol``; the finer one is returned.  Past
-    ``max_panels`` panels ArithmeticError is raised.  It keeps the name
-    the benchmark's tracer patches and times, ``magicdist.exact_pdf.quad``.
+    rules agree within ``tol`` (``_refine``); the finer one is returned.
+    Past ``_MAX_PANELS`` panels ArithmeticError is raised.  It keeps the
+    name the benchmark's tracer patches and times, ``magicdist.exact_pdf.quad``.
     """
     weights = (b - a) * weights
 
-    def rule(m):
+    def rule(level, rows):
+        m = panels << level
         x = a + (b - a) * ((np.arange(m)[:, None] + nodes) / m).ravel()
-        return np.sum(func(x).reshape(m, nodes.size) @ weights) / m
+        return np.array([np.sum(func(x).reshape(m, nodes.size) @ weights) / m])
 
-    coarse = rule(panels)
-    while 2 * panels <= max_panels:
-        panels *= 2
-        fine = rule(panels)
-        difference = abs(fine - coarse)
-        if difference <= tol:
-            return fine, difference
-        coarse = fine
-    raise ArithmeticError(f"integral over [{a!r}, {b!r}] not certified to {tol!r} "
-                          f"within {panels} panels")
+    max_level = max((_MAX_PANELS // panels).bit_length() - 1, 0)
+    value, error = _refine(rule, np.array([tol]), max_level,
+                           lambda row: f"integral over [{a!r}, {b!r}] not certified to "
+                                       f"{tol!r} within {panels << max_level} panels")
+    return value[0], error[0]
 
 
 def mean_sre_exact(tol: float = 1e-8) -> float:
@@ -576,7 +577,7 @@ def characteristic_function_n2(k, tol: float = 1e-10):
             return np.exp(1j * kk * (x**4 + 0.75 * s4)) * j0(kk * s4 / 4.0)
 
         panels = 1 + int(abs(kk) // _CHI_K_PER_PANEL)
-        return complex(quad(f, 0.0, 1.0, tol, *_chi_rule(), panels, _CHI_MAX_PANELS)[0])
+        return complex(quad(f, 0.0, 1.0, tol, *_chi_rule(), panels)[0])
 
     if ks.ndim == 0:
         return chi(float(ks))

@@ -10,9 +10,10 @@ The other samplers only reduce its stream (concatenation, sums, integer
 bin counts), so any thread count reproduces the serial result bit for
 bit; the per-chunk part of a reduction runs in the workers.
 
-``histogram_measure`` alone sets the range of a bin count, refuses bins
-too narrow for a finite density and decides what an out-of-range sample
-means (a count, or a bug on a ``law``'s support).
+``histogram_measure`` alone sets the range of a bin count and decides
+what an out-of-range sample means (a count, or a bug on a ``law``'s
+support).  Every histogram refuses bins too narrow for a finite density
+(``_check_edges``).
 """
 from __future__ import annotations
 
@@ -139,6 +140,9 @@ def _check_edges(edges) -> np.ndarray:
     if (edges.ndim != 1 or edges.size < 2 or not np.isfinite(edges).all()
             or np.any(np.diff(edges) <= 0)):
         raise InvalidEdges("edges must be a strictly increasing 1-D sequence of finite numbers")
+    with np.errstate(over="ignore"):  # the density of such a bin would overflow
+        if not np.isfinite(1.0 / np.diff(edges)).all():
+            raise InvalidEdges("bins narrower than 1 / (largest float) have no finite density")
     return edges
 
 
@@ -215,7 +219,6 @@ def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observ
     for the coherence, the observable's extreme eigenvalues), else the first
     ``min(n_samples, 20000)`` samples widened by 5% of their span each side;
     a probe whose values are all equal or not finite raises ``InvalidEdges``.
-    A bin narrower than 1 / (largest float) raises ``InvalidEdges``.
     Samples outside the edges are counted in ``n_below``/``n_above``, but
     raise ``SupportViolation`` when the edges cover the support of a law,
     which holds every value.  The result is identical for every thread count.
@@ -239,9 +242,6 @@ def histogram_measure(measure, alpha, q, n_sites, n_samples, seed, edges, observ
             span = lo - 0.05 * (hi - lo), hi + 0.05 * (hi - lo)
         edges = np.linspace(*span, edges + 1)
     edges = _check_edges(edges)
-    with np.errstate(over="ignore"):  # the density of such a bin would overflow
-        if not np.isfinite(1.0 / np.diff(edges)).all():
-            raise InvalidEdges("bins narrower than 1 / (largest float) have no finite density")
     if head:
         binned = (_bin_chunk(c, edges) for c in itertools.chain(head, stream))
     else:
@@ -373,9 +373,8 @@ def bootstrap_slope_ci(
     side: str = "both",
     n_boot: int = 100,
     seed: int = 7,
-    level: float = 0.95,
 ):
-    """Percentile bootstrap CI for the fitted slope (Poisson-resampled bins).
+    """Percentile bootstrap 95% CI for the fitted slope (Poisson-resampled bins).
 
     Resample i is row i of the Poisson draws from the stream (seed, 0), one
     row per resample; each is fitted as ``fit_log_divergence`` fits a
@@ -400,7 +399,7 @@ def bootstrap_slope_ci(
                 slopes.append(np.polyfit(t[keep], counts[keep] / scale[keep], 1)[0])
     if len(slopes) < max(MIN_BOOTSTRAP, n_boot // 2):
         raise InsufficientData("too many bootstrap resamples lost their bins")
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - 0.95) / 2.0
     lo, hi = np.quantile(slopes, [tail, 1.0 - tail])
     return float(lo), float(hi)
 

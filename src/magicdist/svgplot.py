@@ -61,7 +61,7 @@ class _Frame:
         return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * h
 
 
-def _axes(frame: _Frame, xlabel: str, ylabel: str, title: str) -> list[str]:
+def _axes(frame: _Frame, xlabel: str, title: str) -> list[str]:
     parts = [
         f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{WIDTH - MARGIN_L - MARGIN_R}" '
         f'height="{HEIGHT - MARGIN_T - MARGIN_B}" fill="none" stroke="#404040"/>'
@@ -97,7 +97,7 @@ def _axes(frame: _Frame, xlabel: str, ylabel: str, title: str) -> list[str]:
     parts.append(
         f'<text x="14" y="{(MARGIN_T + HEIGHT - MARGIN_B) / 2}" font-size="12" '
         f'text-anchor="middle" transform="rotate(-90 14 '
-        f'{(MARGIN_T + HEIGHT - MARGIN_B) / 2})">{ylabel}</text>'
+        f'{(MARGIN_T + HEIGHT - MARGIN_B) / 2})">density</text>'
     )
     parts.append(
         f'<text x="{WIDTH / 2}" y="18" font-size="13" text-anchor="middle">{title}</text>'
@@ -116,7 +116,6 @@ def plot_svg(
     series,
     title: str = "",
     xlabel: str = "",
-    ylabel: str = "density",
     marks=(),
     log_y: bool = False,
     data_table: str = "",
@@ -124,7 +123,8 @@ def plot_svg(
     """Compose an SVG document from (xs, ys, color, style) series.
 
     ``style`` is "line" or "step" (step interprets xs as bin edges, one
-    longer than ys).  Vertical dashed markers are drawn at ``marks``.
+    longer than ys).  The y axis is labelled "density".  Vertical dashed
+    markers are drawn at ``marks``.
     """
     series = [(np.asarray(xs, dtype=float), np.asarray(ys, dtype=float), color, style)
               for xs, ys, color, style in series]
@@ -141,7 +141,7 @@ def plot_svg(
     y_hi = max(all_y) * 1.06 or 1.0  # all-zero data still needs a y range
     frame = _Frame((min(all_x), max(all_x)), (y_lo, y_hi), log_y)
 
-    body = _axes(frame, xlabel, ylabel, title)
+    body = _axes(frame, xlabel, title)
     for xs, ys, color, style in series:
         if style == "step":
             # each bin [xs[i], xs[i + 1]] at height ys[i]

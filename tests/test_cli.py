@@ -414,9 +414,11 @@ class TestFitDivergence:
     @pytest.mark.parametrize("window", ["1e-12,1e-3", "0,1e-3", "1e-8,1e-3"])
     def test_exact_guard_below_the_density_guard_exit_2(self, capsys, window):
         # the exact curve's guard is window[0] / 10; at or below the density's
-        # own 1e-9 guard it is an input error, not a statistical one
+        # own 1e-9 guard it is an input error, not a statistical one.  A window
+        # starting at 0 is no fit window, which both modes check first
         assert main(["fit-divergence", "--exact", "--window", window]) == 2
-        assert "guard must lie" in capsys.readouterr().err
+        message = "need 0 < eps_min" if window.startswith("0,") else "guard must lie"
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("side", ["left", "right", "both"])
     @pytest.mark.parametrize("window", [(1e-5, 1e-3), (2e-4, 2e-2)])
@@ -651,6 +653,13 @@ REJECTED = [
     (["fit-divergence", "--center", "nan"], 2),
     (["fit-divergence", "--exact", "--center", "nan"], 2),
     (["fit-divergence", "--exact", "--center", "inf"], 2),
+    # an exact fit refuses what the sampled fit refuses, before any density is evaluated
+    (["fit-divergence", "--exact", "--bootstrap", "3"], 2),
+    (["fit-divergence", "--exact", "--bins-per-side", "0"], 2),
+    (["fit-divergence", "--exact", "--bins-per-side", "10000000000000"], 4),
+    (["fit-divergence", "--exact", "--window", "1e-2,1e-3"], 2),
+    (["fit-divergence", "--exact", "--bootstrap", "3", "--samples", "5",
+      "--bins-per-side", "0"], 2),
     # an empty --only names no figure
     (["reproduce-figures", "--only"], 2),
 ]
@@ -674,8 +683,10 @@ def test_rejected_before_any_draw(capsys, monkeypatch, tmp_path, argv, code):
     for module in (montecarlo, statevec):
         monkeypatch.setattr(module, "haar_block", recorded(module.haar_block))
     # nor does any kernel of measure run: measure_rows looks its kernels up in pauli_spectrum
+    # nor is any exact density evaluated: every one goes through exact_pdf._pdf_n2
     for module, name in ((pauli_spectrum, "pauli_moment_batch"),
-                         (pauli_spectrum, "weyl_moment_batch"), (cli, "pauli_spectrum_fast")):
+                         (pauli_spectrum, "weyl_moment_batch"), (cli, "pauli_spectrum_fast"),
+                         (exact_pdf, "_pdf_n2")):
         monkeypatch.setattr(module, name, recorded(getattr(module, name)))
     outdir = tmp_path / "figures"
     if argv[0] == "reproduce-figures":

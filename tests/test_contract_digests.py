@@ -52,8 +52,9 @@ def test_no_warning_exits_0(tmp_path, monkeypatch, capsys):
 
 
 # the digests tools/contract_digests.py prints for these rows, the same as
-# before the CSV and SVG writers went columnar; a moved byte of a CSV, an SVG
-# (linear or log_y, line or step) or the exact fit fails here, not only in a
+# before the CSV and SVG writers went columnar and before quad's loop moved
+# into exact_pdf._refine; a moved byte of a CSV, an SVG (linear or log_y,
+# line or step), the exact fit or the exact mean fails here, not only in a
 # diff of the tool's whole listing
 PINNED = {
     "exact_N.csv": "3ec2538340a911cb16c93f1092252e157bfed852203b6f4859d5d439e346c7cd",
@@ -61,6 +62,8 @@ PINNED = {
     "sample_overlay.svg": "6d55079acd50df1a494b7700f5eabeaa37d45167e129ba1e6ec26631ad69a864",
     "sample_n.csv": "1b872c6caca384ae13fa2d18f15df8c14642eb885015a7636aa6a501d807daa7",
     "fit_exact.json": "a9d49a330404b15440320e05b9303664d201320a378c6e8fb431ba7faa4e0356",
+    "mean_sre.json": "510940d4919226e5ace9a61834fb6c59ef0ba4cab69011262b6b4486bb5b0d35",
+    "mean_sre_tol1e-12.json": "04a9bec84e6542c7e9e9560fcbc3ebca813f0d0560ed8765d6b424146c35ed03",
 }
 
 

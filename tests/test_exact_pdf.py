@@ -74,8 +74,8 @@ class TestPdfN2:
         assert pdf_n2_exact(n, tol=1e-11) == pytest.approx(ref, abs=1e-10)
 
     def test_zero_outside_support(self):
-        assert pdf_n2_exact(1.0 / 3.0 - 1e-3) == 0.0
-        assert pdf_n2_exact(1.0 + 1e-12) == 0.0
+        for n in (1.0 / 3.0 - 1e-3, 1.0 + 1e-12, 0.2, 1.2, float("nan")):
+            assert pdf_n2_exact(n) == 0.0
 
     def test_step_values_at_edges(self):
         # the density steps to 3/2 at the lower edge and 3/4 at the upper
@@ -94,6 +94,9 @@ class TestPdfN2:
         with pytest.raises(SingularPoint) as err:
             pdf_n2_exact(0.5)
         sp = err.value
+        # _mapped_density's remap at "n" (Jacobian 1) keeps the engine's model to the bit
+        assert (sp.location, sp.log_slope, sp.log_intercept) == (
+            0.5, DIVERGENCE_SLOPE_N2, 0.11472230142428819)
         for eps in (1e-5, 1e-6, 1e-7):
             model = -sp.log_slope * math.log(eps) + sp.log_intercept
             assert pdf_n2_exact(0.5 + eps, tol=1e-11) == pytest.approx(model, abs=2e-4)
@@ -349,10 +352,11 @@ class TestQuad:
         assert abs(value - (-1j) * (np.exp(3j) - np.exp(1j))) <= 1e-14
         assert difference <= 1e-13
 
-    def test_a_jump_is_not_certified(self):
+    def test_a_jump_is_not_certified(self, monkeypatch):
+        monkeypatch.setattr(exact_pdf, "_MAX_PANELS", 64)
         with pytest.raises(ArithmeticError, match="64 panels"):
             exact_pdf.quad(lambda x: np.sign(x - 1.0 / 3.0), 0.0, 1.0, 1e-12,
-                           exact_pdf._PANEL_NODES, exact_pdf._PANEL_WEIGHTS, max_panels=64)
+                           exact_pdf._PANEL_NODES, exact_pdf._PANEL_WEIGHTS)
 
 
 class TestAncillaryPdfs:
@@ -485,7 +489,7 @@ class TestCharacteristicFunction:
             characteristic_function_n2(1.0, tol=tol)
 
     def test_uncertified_raises(self, monkeypatch):
-        monkeypatch.setattr(exact_pdf, "_CHI_MAX_PANELS", 64)
+        monkeypatch.setattr(exact_pdf, "_MAX_PANELS", 64)
         with pytest.raises(ArithmeticError):
             characteristic_function_n2(1e4)
 
@@ -556,7 +560,12 @@ class TestDensityEngine:
     """The vectorised Gauss-Legendre engine behind every exact N_2 density."""
 
     def test_tabulation_equals_scalar_bitwise(self):
+        # one path: pdf_n2_exact goes through law and _mapped_density as the
+        # tabulation does, also at both support ends nudged inward, where the
+        # "high" segment near n = 1 is a sliver between coalescing roots
         curve = tabulate_pdf("n", num_points=1500)
+        lo, hi = law("n").support
+        assert lo < curve.abscissas[0] < lo + 1e-9 and hi - 1e-9 < curve.abscissas[-1] < hi
         scalars = [pdf_n2_exact(float(x), tol=1e-9) for x in curve.abscissas]
         assert np.array_equal(curve.densities, scalars)
 

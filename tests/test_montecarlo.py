@@ -257,9 +257,12 @@ class TestBuildHistogram:
         assert (h.n_below, h.n_above) == (1, 1)
 
     def test_bad_edges(self):
-        for edges in ([0.0, 0.0, 1.0], [np.nan, 1.0], [0.0, np.inf]):
+        # a bin narrower than 1 / (largest float) would have an infinite density
+        for edges in ([0.0, 0.0, 1.0], [np.nan, 1.0], [0.0, np.inf], [0.0, 2.2e-309]):
             with pytest.raises(InvalidEdges):
-                build_histogram(np.array([1.0]), edges)
+                build_histogram(np.array([1e-310]), edges)
+            with pytest.raises(InvalidEdges):
+                Histogram(edges, [1] * (len(edges) - 1), 1)
 
     @given(
         samples=st.lists(st.floats(-5, 5), max_size=300),
@@ -271,6 +274,13 @@ class TestBuildHistogram:
         if edges.size < 2:
             return
         data = np.asarray(samples)
+        with np.errstate(over="ignore"):
+            narrow = np.isinf(1.0 / np.diff(edges)).any()
+        if narrow:
+            # a bin narrower than 1 / (largest float) would have an infinite density
+            with pytest.raises(InvalidEdges, match="largest float"):
+                build_histogram(data, edges)
+            return
         h = build_histogram(data, edges)
         ref, _ = np.histogram(data, bins=edges)
         assert np.array_equal(h.counts, ref)
