@@ -6,17 +6,23 @@ bit-reproducible: identical CSV/JSON bytes across runs and for every
 digits; metadata rides in leading '#' comment lines.  JSON payloads carry
 the schema marker "magicdist/1".
 
-Every request is checked in full before its first state is drawn.  Exit
-codes: 0 ok, 1 internal error (a sample escaped an exact support), 2 bad
-input (a register that is not one included) or an output path that cannot
-be written, 3 unsupported parameter (alpha not finite and > 1, or no exact
-law with a closed form: ``exact_pdf.law``), 4 resource guard (a cap on threads,
-register, spectrum, bins or points), 5 statistical insufficiency.
+One parser serves the process, and ``main`` looks ``cmd_<command>`` up by
+name when it runs.  Each ``reproduce-figures`` figure is a ``sample`` command
+line, overlaid with its exact curve wherever ``exact_pdf.law`` is closed-form.
+
+Every request is checked in full before its first state is drawn, --threads
+and --seed first.  Exit codes: 0 ok, 1 internal error (a sample escaped an
+exact support), 2 bad input (a register that is not one included) or an
+output path that cannot be written, 3 unsupported parameter (alpha not
+finite and > 1, or no exact law with a closed form: ``exact_pdf.law``),
+4 resource guard (a cap on threads, register, spectrum, bins or points),
+5 statistical insufficiency.
 """
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
@@ -252,6 +258,7 @@ def cmd_fit_divergence(args) -> int:
     # geometric bins around the center keep the ln regressor well conditioned
     wings = np.geomspace(window[0] / 2, window[1] * 2, args.bins_per_side + 1)
     edges = np.unique(np.concatenate([center - wings, center + wings]))
+    SeededRng(args.seed + 1)  # the bootstrap's stream, refused before the draw
     hist = montecarlo.histogram_measure("n", args.alpha, 2, 1, args.samples, args.seed, edges,
                                         threads=args.threads)
     if args.scan:
@@ -302,14 +309,14 @@ def cmd_mean_sre(args) -> int:
     return 0
 
 
-# name: (measure, q, sites, samples at --scale 1, bins, exact overlay)
+# name: (the figure's `sample` options, samples at --scale 1)
 _FIGURES = {
-    "fig1_m2_density": ("m", 2, 1, 10_000_000, 400, True),
-    "fig2_n2_density": ("n", 2, 1, 10_000_000, 400, True),
-    "fig4_two_qubits": ("n", 2, 2, 200_000, 200, False),
-    "fig4_six_qubits": ("n", 2, 6, 200_000, 200, False),
-    "fig5_qutrit": ("n", 3, 1, 400_000, 200, False),
-    "fig5_ququart": ("n", 4, 1, 400_000, 200, False),
+    "fig1_m2_density": ("--measure m --bins 400", 10_000_000),
+    "fig2_n2_density": ("--measure n --bins 400", 10_000_000),
+    "fig4_two_qubits": ("--measure n --sites 2 --bins 200", 200_000),
+    "fig4_six_qubits": ("--measure n --sites 6 --bins 200", 200_000),
+    "fig5_qutrit": ("--measure n --q 3 --bins 200", 400_000),
+    "fig5_ququart": ("--measure n --q 4 --bins 200", 400_000),
 }
 
 
@@ -318,62 +325,58 @@ def cmd_reproduce_figures(args) -> int:
         raise ValueError(f"--scale must be positive and finite, got {args.scale!r}")
     os.makedirs(args.outdir, exist_ok=True)
     manifest = {"seed": args.seed, "scale": args.scale, "outputs": {}}
-    for name, (measure, q, sites, samples, bins, overlay) in _FIGURES.items():
+    for name, (options, samples) in _FIGURES.items():
         if args.only and name not in args.only:
             continue
         n_samples = max(int(samples * args.scale), 1000)
-        ns = argparse.Namespace(
-            measure=measure, alpha=2.0, q=q, sites=sites, samples=n_samples, seed=args.seed,
-            bins=bins, window=None, overlay_exact=overlay, threads=args.threads, log_y=False,
-        )
-        csv_payload, svg = _sample_figure(ns)
+        fig = build_parser().parse_args(["sample", *options.split(), "--samples", str(n_samples),
+                                         "--seed", str(args.seed), "--threads", str(args.threads)])
+        exact = exact_pdf.law(fig.measure, fig.alpha, fig.q, fig.sites)
+        fig.overlay_exact = exact is not None and exact.closed_form
+        csv_payload, svg = _sample_figure(fig)
         _emit(csv_payload, os.path.join(args.outdir, f"{name}.csv"))
         _emit(svg(), os.path.join(args.outdir, f"{name}.svg"))
-        digest = hashlib.sha256(csv_payload).hexdigest()
-        manifest["outputs"][name] = {
-            "n_samples": n_samples,
-            "csv": f"{name}.csv",
-            "svg": f"{name}.svg",
-            "csv_sha256": digest,
-        }
+        manifest["outputs"][name] = {"n_samples": n_samples, "csv": f"{name}.csv",
+                                     "svg": f"{name}.svg",
+                                     "csv_sha256": hashlib.sha256(csv_payload).hexdigest()}
     _json_out(manifest, os.path.join(args.outdir, "manifest.json"))
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="magicdist",
                                 description="Haar distributions of stabilizer entropies")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, seeded=True, alpha=True):
-        sp.add_argument("--output", "-o", default=None, help="file path, default stdout")
-        if alpha:
-            sp.add_argument("--alpha", type=float, default=2.0, help="Renyi order")
-        if seeded:
-            sp.add_argument("--seed", type=int, default=2024)
-            sp.add_argument("--threads", type=int, default=1,
-                            help=f"worker threads, 1 to {montecarlo.MAX_THREADS}")
+    # option groups that several commands share
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", "-o", default=None, help="file path, default stdout")
+    order = argparse.ArgumentParser(add_help=False)
+    order.add_argument("--alpha", type=float, default=2.0, help="Renyi order")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=2024)
+    seeded.add_argument("--threads", type=int, default=1,
+                        help=f"worker threads, 1 to {montecarlo.MAX_THREADS}")
 
-    sp = sub.add_parser("measure", help="magic measures of one state")
+    sp = sub.add_parser("measure", parents=[output, order, seeded],
+                        help="magic measures of one state")
     sp.add_argument("--bloch", help="n1,n2,n3")
     sp.add_argument("--amplitudes", help="re,im,re,im,...")
     sp.add_argument("--haar", action="store_true")
     sp.add_argument("--dim", type=int, default=2)
     sp.add_argument("--local-dim", type=int, default=2)
     sp.add_argument("--bits", action="store_true", help="report the entropy in bits")
-    add_common(sp)
-    sp.set_defaults(func=cmd_measure)
 
-    sp = sub.add_parser("exact-pdf", help="tabulate a closed-form density")
+    sp = sub.add_parser("exact-pdf", parents=[output, order], help="tabulate a closed-form density")
     sp.add_argument("--variable", type=_measure_name, required=True)
     sp.add_argument("--points", type=int, default=600)
     sp.add_argument("--tol", type=float, default=1e-9)
     sp.add_argument("--format", choices=["csv", "svg"], default="csv")
     sp.add_argument("--log-y", action="store_true")
-    add_common(sp, seeded=False)
-    sp.set_defaults(func=cmd_exact_pdf)
 
-    sp = sub.add_parser("sample", help="histogram of a sampled measure")
+    sp = sub.add_parser("sample", parents=[output, order, seeded],
+                        help="histogram of a sampled measure")
     sp.add_argument("--measure", default="n",
                     help="n, xi, m, mlin, coherence or observable")
     sp.add_argument("--q", type=int, default=2)
@@ -384,10 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--overlay-exact", action="store_true")
     sp.add_argument("--format", choices=["csv", "svg"], default="csv")
     sp.add_argument("--log-y", action="store_true")
-    add_common(sp)
-    sp.set_defaults(func=cmd_sample)
 
-    sp = sub.add_parser("fit-divergence", help="logarithmic divergence fit")
+    sp = sub.add_parser("fit-divergence", parents=[output, order, seeded],
+                        help="logarithmic divergence fit")
     sp.add_argument("--exact", action="store_true", help="fit the exact curve")
     sp.add_argument("--center", type=float, default=None)
     sp.add_argument("--window", default="1e-5,1e-3", help="eps_min,eps_max")
@@ -397,36 +399,31 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--bootstrap", type=int, default=100)
     sp.add_argument("--scan", type=float, default=None,
                     help="scan centers within +-SCAN for max r^2")
-    add_common(sp)
-    sp.set_defaults(func=cmd_fit_divergence)
 
-    sp = sub.add_parser("critical-points", help="the 26 critical Bloch vectors")
-    add_common(sp, seeded=False)
-    sp.set_defaults(func=cmd_critical_points)
+    sub.add_parser("critical-points", parents=[output, order], help="the 26 critical Bloch vectors")
 
-    sp = sub.add_parser("mean-sre", help="exact Haar mean of the order-2 entropy")
+    sp = sub.add_parser("mean-sre", parents=[output, seeded],
+                        help="exact Haar mean of the order-2 entropy")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--mc", type=int, default=0, help="cross-check sample count")
-    add_common(sp, alpha=False)
-    sp.set_defaults(func=cmd_mean_sre)
 
-    sp = sub.add_parser("reproduce-figures", help="standard density pipelines")
+    sp = sub.add_parser("reproduce-figures", parents=[seeded], help="standard density pipelines")
     sp.add_argument("--outdir", required=True)
     sp.add_argument("--scale", type=float, default=1.0,
                     help="multiply the standard sample counts")
     sp.add_argument("--only", nargs="+", choices=list(_FIGURES),
                     help="subset of figure names")
-    add_common(sp, alpha=False)
-    sp.set_defaults(func=cmd_reproduce_figures)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if hasattr(args, "threads"):  # every command that takes --threads, sampling or not
+        if hasattr(args, "seed"):  # every command that takes --seed takes --threads too
             montecarlo.check_threads(args.threads)
-        return args.func(args)
+            SeededRng(args.seed)
+        # looked up when it runs, so a module attribute swapped in later is what runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (NotImplementedError, InvalidOrder) as exc:
         print(f"unsupported parameter: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED

@@ -51,14 +51,18 @@ class _Frame:
         w = WIDTH - MARGIN_L - MARGIN_R
         return MARGIN_L + (x - self.x0) / (self.x1 - self.x0) * w
 
+    def row(self, y):
+        """Pixel row of a number or array on the axis's scale (log10 on a log axis)."""
+        h = HEIGHT - MARGIN_T - MARGIN_B
+        return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * h
+
     def py(self, y: np.ndarray) -> np.ndarray:
         """Pixel row of each value of an array."""
         if self.log_y:
             # math.log10 per value: numpy's SIMD log10 need not match libm to the last ulp
             floor = 10.0**self.y0
             y = np.array([math.log10(max(v, floor)) for v in y.tolist()])
-        h = HEIGHT - MARGIN_T - MARGIN_B
-        return HEIGHT - MARGIN_B - (y - self.y0) / (self.y1 - self.y0) * h
+        return self.row(y)
 
 
 def _axes(frame: _Frame, xlabel: str, title: str) -> list[str]:
@@ -76,12 +80,9 @@ def _axes(frame: _Frame, xlabel: str, title: str) -> list[str]:
             f'<text x="{x:.2f}" y="{HEIGHT - MARGIN_B + 18}" font-size="11" '
             f'text-anchor="middle">{_fmt(t)}</text>'
         )
-    y_ticks = _nice_ticks(frame.y0, frame.y1)
-    for t in y_ticks:
+    for t in _nice_ticks(frame.y0, frame.y1):
         label = 10.0**t if frame.log_y else t
-        y = HEIGHT - MARGIN_B - (t - frame.y0) / (frame.y1 - frame.y0) * (
-            HEIGHT - MARGIN_T - MARGIN_B
-        )
+        y = frame.row(t)
         parts.append(
             f'<line x1="{MARGIN_L - 5}" y1="{y:.2f}" x2="{MARGIN_L}" y2="{y:.2f}" '
             f'stroke="#404040"/>'

@@ -588,6 +588,48 @@ class TestReproduceFigures:
             outs[threads] = {p.name: p.read_bytes() for p in sorted(outdir.iterdir())}
         assert len(outs["1"]) == 13  # six CSV, six SVG and the manifest
         assert outs["1"] == outs["2"]
+        # an exact curve is overlaid wherever exact_pdf.law is closed-form: one qubit only
+        overlaid = {name for name, data in outs["1"].items() if b"#b03030" in data}
+        assert overlaid == {"fig1_m2_density.svg", "fig2_n2_density.svg"}
+
+    @pytest.mark.parametrize("name, options", [
+        ("fig2_n2_density", ["--measure", "n", "--samples", "10000", "--bins", "400",
+                             "--overlay-exact"]),
+        # no exact law: the range comes from the probe of the first samples
+        ("fig5_qutrit", ["--measure", "n", "--q", "3", "--samples", "1000", "--bins", "200"]),
+    ])
+    def test_a_figure_is_its_sample_command_line(self, tmp_path, name, options):
+        assert main(["reproduce-figures", "--outdir", str(tmp_path), "--scale", "0.001",
+                     "--seed", "5", "--only", name]) == 0
+        for fmt in ("csv", "svg"):
+            path = tmp_path / f"sample.{fmt}"
+            assert main(["sample", *options, "--seed", "5", "--format", fmt,
+                         "-o", str(path)]) == 0
+            assert path.read_bytes() == (tmp_path / f"{name}.{fmt}").read_bytes()
+
+
+class TestFrontEnd:
+    def test_parser_built_once(self, tmp_path):
+        cli.build_parser.cache_clear()
+        for argv in (["critical-points"], ["critical-points", "--alpha", "3"],
+                     ["mean-sre", "--tol", "1e-4"],
+                     # each figure's sample command line goes through the same parser
+                     ["reproduce-figures", "--outdir", str(tmp_path), "--scale", "0.001",
+                      "--only", "fig4_two_qubits", "fig5_qutrit"]):
+            assert main(argv) == 0
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_command_looked_up_when_it_runs(self, monkeypatch):
+        cli.build_parser()  # a parser built before the swap runs the swapped command
+        seen = []
+
+        def fake(args):
+            seen.append(args.alpha)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_critical_points", fake)
+        assert main(["critical-points", "--alpha", "3"]) == 7
+        assert seen == [3.0]
 
 
 # inputs rejected before any state is drawn, with their exit codes
@@ -662,6 +704,12 @@ REJECTED = [
       "--bins-per-side", "0"], 2),
     # an empty --only names no figure
     (["reproduce-figures", "--only"], 2),
+    # the figures go to --outdir only
+    (["reproduce-figures", "-o", "x"], 2),
+    # every seed is checked before any work: the sampler's, and the bootstrap's seed + 1
+    (["fit-divergence", "--samples", "200000", "--seed", "18446744073709551615"], 2),
+    (["reproduce-figures", "--seed", "-1"], 2),
+    (["sample", "--seed", "-1", "--overlay-exact"], 2),
 ]
 
 
@@ -695,9 +743,10 @@ def test_rejected_before_any_draw(capsys, monkeypatch, tmp_path, argv, code):
         warnings.simplefilter("error")
         try:
             got = main(argv)
-        except SystemExit as exc:  # argparse refuses a malformed flag
+        except SystemExit as exc:  # argparse refuses a malformed or unknown flag
             got = exc.code
-            assert ": error: argument" in capsys.readouterr().err.splitlines()[-1]
+            last = capsys.readouterr().err.splitlines()[-1]
+            assert ": error: argument" in last or ": error: unrecognized arguments: " in last
         else:
             assert len(capsys.readouterr().err.splitlines()) == 1
     assert got == code

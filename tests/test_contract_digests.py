@@ -78,3 +78,23 @@ def test_pinned_rows_keep_their_bytes(tmp_path):
         got[name] = tool._digest(path)
     assert warned == []
     assert got == PINNED
+
+
+# the digests of the tool's reproduce-figures row at --threads 1, the same as
+# before each figure became a `sample` command line; the manifest holds every
+# figure CSV's sha256
+PINNED_FIGURES = {
+    "manifest.json": "a6ff571c57d687e0ea6decf6ba806b999b9cabba6fa7d2e339638c3760f8b29a",
+    "fig1_m2_density.svg": "e4c505fad55884ec73d09fa6baa59f473fa966748de970c65f0f1ac5e4fc25e6",
+}
+
+
+def test_pinned_figures_keep_their_bytes(tmp_path):
+    tool = load_tool()
+    figdir = tmp_path / "figures_t1"
+    warned = []
+    argv = ["reproduce-figures", "--scale", "0.01", "--seed", "2024", "--threads", "1",
+            "--outdir", str(figdir)]
+    assert tool._run(argv, figdir.name, warned) == 0
+    assert warned == []
+    assert {name: tool._digest(figdir / name) for name in PINNED_FIGURES} == PINNED_FIGURES
