@@ -56,7 +56,6 @@ from .exact_pdf import (
     DIVERGENCE_SLOPE_N2,
     CriticalPoint,
     PdfCurve,
-    Roots2,
     characteristic_function_n2,
     critical_points,
     law,
@@ -67,7 +66,6 @@ from .exact_pdf import (
     pdf_n2_exact,
     pdf_observable,
     pdf_xi,
-    roots_n2,
     support_for,
     tabulate_pdf,
 )

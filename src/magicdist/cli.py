@@ -184,10 +184,11 @@ def _sample_figure(args):
     """Sample one histogram; return its CSV bytes and a function drawing its SVG."""
     measure = canonical_measure(args.measure)
     overlay = None
-    if args.overlay_exact:
-        if exact_pdf.law(measure, args.alpha, args.q, args.sites) is None:
-            raise InvalidOrder(f"no exact law of {measure} for q={args.q}, n={args.sites}")
-        # tabulated first: its own check refuses an order without a closed form
+    if args.overlay_exact:  # refused before any state is drawn
+        exact = exact_pdf.law(measure, args.alpha, args.q, args.sites)
+        if exact is None or not exact.closed_form:
+            raise NotImplementedError(f"no closed-form {measure} density at alpha = "
+                                      f"{args.alpha!r} for q={args.q}, n={args.sites}")
         overlay = exact_pdf.tabulate_pdf(measure, alpha=args.alpha)
     edges = args.bins  # the sampler picks the range
     if args.window:

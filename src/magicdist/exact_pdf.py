@@ -29,14 +29,14 @@ raised.  All segments of one kind and mesh go through together, in
 blocks of at most ``_PDF_BLOCK_NODES`` nodes, so a whole tabulation costs
 a few numpy passes in bounded memory.  Near n = 1/2 the density behaves
 like -3/(sqrt(2) pi) * ln|n - 1/2| + b with b fitted once from regular
-points.  ``pdf_n2_exact`` goes through ``law`` and ``_mapped_density``
-like every other density.
+points.  Every exact density is the ``density`` of its row in ``law``, the
+one table of exact laws; ``pdf_n2_exact`` evaluates that of "n".
 
 The stabilizer purity Xi, the entropy M and the linear entropy M_lin are
-functions of N (``pauli_spectrum.measure_from_n``).  Their supports and
-critical values (``law``, the one table of exact laws) and densities come
-from that one map: the density of v is |dN/dv| P(N(v)), both from the
-inverse ``pauli_spectrum.n_from_measure``; P_Mlin(v) = P_Xi(1 - v) = 2 P(1 - 2v).
+functions of N (``pauli_spectrum.measure_from_n``).  Their supports,
+critical values and densities come from that one map: the density of v
+is |dN/dv| P(N(v)) (``_mapped_density``), both from the inverse
+``pauli_spectrum.n_from_measure``; P_Mlin(v) = P_Xi(1 - v) = 2 P(1 - 2v).
 
 The characteristic function chi(k) = E[exp(i k N_2)] reduces, after the
 azimuthal average, to a smooth integral over x = cos(theta) in [0, 1] with
@@ -54,8 +54,9 @@ on its first call, for its 32-node rule and J0 (``bessel.j0``).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -108,42 +109,35 @@ def n_critical(alpha: float) -> float:
 
 @dataclass(frozen=True)
 class Law:
-    """A measure's value range, where its density diverges, and whether it is closed-form."""
+    """A measure's value range, where its density diverges, and the density.
+
+    ``density(x, tol)`` gives the density at each value of an array and the
+    error that certified it, or is None where the law has no closed form.
+    """
 
     support: tuple[float, float]
     singular_points: tuple[float, ...]
-    closed_form: bool
+    # left out of ==: a partial compares by identity, so two lookups would differ
+    density: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = field(
+        compare=False)
+
+    @property
+    def closed_form(self) -> bool:
+        return self.density is not None
 
 
 def law(measure: str, alpha: float = 2.0, q: int = 2, n_sites: int = 1) -> Law | None:
     """The exact law of a measure (``canonical_measure``) on a register, or
     None.  A moment measure of one qubit has one at every order, the image
-    of [3^(1-alpha), 1] and n_c; its density is closed-form at alpha = 2."""
+    of [3^(1-alpha), 1] and n_c; at alpha = 2 its density is the N_2
+    engine's (``_mapped_density``)."""
     measure = canonical_measure(measure)
     if measure not in MOMENT_MEASURES or (q, n_sites) != (2, 1):
         return None
     c = float(measure_from_n(n_critical(alpha), measure, alpha, 2))
-    return Law(support_for(measure, alpha), (c,), alpha == 2)
-
-
-def _check_exact(variable: str, alpha: float, tol: float) -> Law:
-    """The law of a one-qubit variable with a closed-form density; checks ``tol``."""
-    exact = law(variable, alpha)
-    if exact is None or not exact.closed_form:
-        raise NotImplementedError(f"no closed-form {variable} density at alpha = {alpha:g}")
-    _check_tol(tol)
-    return exact
-
-
-@dataclass(frozen=True)
-class Roots2:
-    """Roots in [0, 1] of the alpha=2 radicand; x- exists for n <= 1/2 and
-    the y pair for n > 1/2."""
-
-    x_minus: float | None
-    x_plus: float
-    y_minus: float | None = None
-    y_plus: float | None = None
+    support = support_for(measure, alpha)
+    density = partial(_mapped_density, measure, alpha, support) if alpha == 2 else None
+    return Law(support, (c,), density)
 
 
 def _root_squares(n):
@@ -163,16 +157,6 @@ def _root_squares(n):
     y_p2 = (1.0 + t) / 2.0
     gap_xy2 = (n - 1.0) ** 2 / ((n + t) * (2.0 * s + 3.0 * t + 1.0))
     return x_m2, x_p2, y_m2, y_p2, t, gap_xy2
-
-
-def roots_n2(n: float) -> Roots2:
-    lo, hi = law("n").support
-    if not lo <= n <= hi:
-        raise ValueError(f"n={n!r} outside the support {(lo, hi)}")
-    x_m2, x_p2, y_m2, y_p2, _, _ = (float(r) for r in _root_squares(n))
-    if n > 0.5:
-        return Roots2(None, math.sqrt(x_p2), math.sqrt(y_m2), math.sqrt(y_p2))
-    return Roots2(math.sqrt(max(x_m2, 0.0)), math.sqrt(x_p2))
 
 
 # The integration segments.  Each radicand R is written without the factors
@@ -448,17 +432,26 @@ def pdf_n2_exact(n: float, tol: float = 1e-10) -> float:
     Returns 0 outside [1/3, 1]; raises SingularPoint within 1e-9 of the
     divergent abscissa n = 1/2, carrying the fitted logarithmic model.
     """
-    return float(_mapped_density("n", 2.0, np.array([n], dtype=float), tol)[0][0])
+    return _pdf_at("n", 2.0, n, tol)
 
 
-def _mapped_density(variable: str, alpha: float, x: np.ndarray, tol: float):
-    """The exact density |dN/dx| P(N(x)) of a variable of N_2 at each x of
-    an array, and its certified error scaled the same way.
+def _pdf_at(variable: str, alpha: float, x: float, tol: float) -> float:
+    """The density of a one-qubit variable's ``law`` at one value."""
+    density = law(variable, alpha).density
+    if density is None:
+        raise NotImplementedError(f"no closed-form {variable} density at alpha = {alpha!r}")
+    return float(density(np.array([x], dtype=float), tol)[0][0])
+
+
+def _mapped_density(variable: str, alpha: float, support, x: np.ndarray, tol: float):
+    """The exact density |dN/dx| P(N(x)) of a variable of N_2 with the given
+    support at each x of an array, and its certified error scaled the same way.
 
     ``tol`` is checked here, once per call; the tolerance of each N point
     is tol / |dN/dx|, clamped to the admissible range.
     """
-    lo, hi = _check_exact(variable, alpha, tol).support
+    _check_tol(tol)
+    lo, hi = support
     dens = np.zeros(x.shape)
     error = np.zeros(x.shape)
     inside = (lo <= x) & (x <= hi)
@@ -478,12 +471,12 @@ def _mapped_density(variable: str, alpha: float, x: np.ndarray, tol: float):
 
 def pdf_xi(alpha: float, xi: float, tol: float = 1e-10) -> float:
     """Density of the stabilizer purity; exact evaluation needs alpha = 2."""
-    return float(_mapped_density("xi", alpha, np.array([xi], dtype=float), tol)[0][0])
+    return _pdf_at("xi", alpha, xi, tol)
 
 
 def pdf_m(alpha: float, m: float, tol: float = 1e-10) -> float:
     """Density of the stabilizer Renyi entropy (nats); alpha = 2 only."""
-    return float(_mapped_density("m", alpha, np.array([m], dtype=float), tol)[0][0])
+    return _pdf_at("m", alpha, m, tol)
 
 
 def pdf_coherence(c: float) -> float:
@@ -787,14 +780,14 @@ def _refined_grid(lo: float, hi: float, singulars, num_points: int, guard: float
 
 def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: float = 1e-9,
                  guard: float = 1e-5, keep=None) -> PdfCurve:
-    """Tabulated exact density of a variable whose ``law`` is closed-form.
+    """Tabulated exact density of a one-qubit variable whose ``law`` has one.
 
     The grid refines logarithmically into the divergence from both sides
     down to ``guard`` (above SINGULAR_GUARD / 0.999, below 0.1); the open
     interval around the singular abscissa is left to the logarithmic model
     (see ``PdfCurve.integral``).  The base grid has ``num_points >= 2``
     points, both support edges included, and at most ``MAX_POINTS``.  The
-    whole grid is one call of the N_2 engine.  ``keep``, if given, maps the
+    whole grid is one call of the law's density.  ``keep``, if given, maps the
     grid to a boolean mask, and only the points it keeps are evaluated and
     tabulated: each point is certified on its own, so their densities are
     those of the whole grid to the bit.
@@ -804,7 +797,9 @@ def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: 
         raise ValueError(f"num_points must be at least 2, got {num_points}")
     if num_points > MAX_POINTS:
         raise ResourceLimit(f"point guard: num_points <= {MAX_POINTS}, got {num_points}")
-    exact = _check_exact(v, alpha, tol)
+    exact = law(v, alpha)
+    if exact is None or exact.density is None:
+        raise NotImplementedError(f"no closed-form {v} density at alpha = {alpha!r}")
     # every kept grid point must stay outside the density's own guard
     if not (SINGULAR_GUARD < _GUARD_KEEP * guard and guard < 0.1):
         raise ValueError(f"guard must lie in ({SINGULAR_GUARD / _GUARD_KEEP:.6g}, 0.1), "
@@ -812,7 +807,7 @@ def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: 
     grid = _refined_grid(*exact.support, exact.singular_points, num_points, guard)
     if keep is not None:
         grid = grid[keep(grid)]
-    dens, error = _mapped_density(v, alpha, grid, tol)
+    dens, error = exact.density(grid, tol)
     return PdfCurve(
         variable=v,
         alpha=float(alpha),

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -181,6 +182,11 @@ class TestExactPdf:
 
     def test_unsupported_alpha_exit_3(self, capsys):
         assert main(["exact-pdf", "--variable", "N", "--alpha", "3"]) == 3
+
+    def test_unsupported_alpha_is_named_as_given(self, capsys):
+        assert main(["exact-pdf", "--variable", "m", "--alpha", "2.0000000001"]) == 3
+        assert capsys.readouterr().err == (
+            "unsupported parameter: no closed-form m density at alpha = 2.0000000001\n")
 
     def test_unknown_variable_lists_the_names(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -801,6 +807,32 @@ def test_unwritable_output_exits_2(capsys, tmp_path, argv, target):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("output error: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_new_law_is_one_new_row(monkeypatch, tmp_path):
+    # a toy uniform density of the one-qubit coherence on [0, 1], and nothing else
+    real_law = exact_pdf.law
+
+    def with_coherence(measure, alpha=2.0, q=2, n_sites=1):
+        if pauli_spectrum.canonical_measure(measure) == "coherence" and (q, n_sites) == (2, 1):
+            return exact_pdf.Law((0.0, 1.0), (),
+                                 lambda x, tol: (np.ones(x.shape), np.zeros(x.shape)))
+        return real_law(measure, alpha, q, n_sites)
+
+    monkeypatch.setattr(exact_pdf, "law", with_coherence)
+    curve = tmp_path / "curve.csv"
+    assert main(["exact-pdf", "--variable", "coherence", "--points", "50", "-o", str(curve)]) == 0
+    lines = curve.read_text().splitlines()
+    assert "# integral=1.000000" in lines
+    rows = [line.split(",") for line in lines if not line.startswith("#")][1:]
+    assert len(rows) == 50 and {float(d) for _, d in rows} == {1.0}
+
+    plot = tmp_path / "overlay.svg"
+    assert main(["sample", "--measure", "coherence", "--samples", "2000", "--bins", "20",
+                 "--overlay-exact", "--format", "svg", "-o", str(plot)]) == 0
+    overlay = re.search(r'stroke="#b03030"[^>]*points="([^"]*)"', plot.read_text())
+    points = [p.split(",") for p in overlay.group(1).split()]
+    assert len(points) == 600 and len({y for _, y in points}) == 1  # the flat line
 
 
 @pytest.mark.parametrize("q, sites", [(2, 1), (2, 2), (3, 1)])

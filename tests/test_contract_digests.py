@@ -59,6 +59,9 @@ def test_no_warning_exits_0(tmp_path, monkeypatch, capsys):
 PINNED = {
     "exact_N.csv": "3ec2538340a911cb16c93f1092252e157bfed852203b6f4859d5d439e346c7cd",
     "exact_M_log_y.svg": "b93fc48824d624914e07766661e6180eb73f08d7caca5f9a8784987883d22875",
+    "exact_Xi.csv": "814559313debf71a2e3168fd5c888d9ce20912a41495ce68deee5961d2face91",
+    "exact_mlin.csv": "7a462a0d5f4da08a47246e5c1b046b9e98bf7ec810f23f5a24448572dc4b85ac",
+    "sample_overlay_mlin.svg": "42d0e7456c9abd27c48305e92d545d62502719685f775acfb36326a2ed7b029c",
     "sample_overlay.svg": "6d55079acd50df1a494b7700f5eabeaa37d45167e129ba1e6ec26631ad69a864",
     "sample_n.csv": "1b872c6caca384ae13fa2d18f15df8c14642eb885015a7636aa6a501d807daa7",
     "fit_exact.json": "a9d49a330404b15440320e05b9303664d201320a378c6e8fb431ba7faa4e0356",

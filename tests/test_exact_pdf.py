@@ -26,7 +26,6 @@ from magicdist import (
     pdf_n2_exact,
     pdf_observable,
     pdf_xi,
-    roots_n2,
     single_qubit_cliffords,
     support_for,
     tabulate_pdf,
@@ -56,8 +55,8 @@ MEAN_SRE_BITS = 0.33026339759786131
 MEAN_SRE_40_DIGITS = "0.22892114288710578057833977338194509535"
 
 def pdf_mlin(alpha, v, tol=1e-10):
-    """Density of the linear entropy, through the engine of every mapped variable."""
-    return float(exact_pdf._mapped_density("mlin", alpha, np.array([v], dtype=float), tol)[0][0])
+    """Density of the linear entropy, through the density of its law."""
+    return float(law("mlin", alpha).density(np.array([v], dtype=float), tol)[0][0])
 
 
 CHI_REFS = [
@@ -116,23 +115,30 @@ class TestPdfN2:
 
 
 class TestRoots:
+    """The engine's squared roots against the textbook (1 +- sqrt(6n-2))/3
+    and (1 +- sqrt(2n-1))/2."""
+
     @pytest.mark.parametrize("n", [0.34, 0.4, 0.49, 0.5])
     def test_below_half(self, n):
-        r = roots_n2(n)
+        x_m2, x_p2, _, _, t, _ = exact_pdf._root_squares(n)
         s = math.sqrt(6 * n - 2)
-        assert r.x_minus == pytest.approx(math.sqrt((1 - s) / 3), abs=1e-12)
-        assert r.x_plus == pytest.approx(math.sqrt((1 + s) / 3), abs=1e-12)
-        assert r.y_minus is None and r.y_plus is None
-        assert 0 <= r.x_minus <= r.x_plus <= 1
+        assert x_m2 == pytest.approx((1 - s) / 3, abs=1e-12)
+        assert x_p2 == pytest.approx((1 + s) / 3, abs=1e-12)
+        assert t == 0.0
+        assert 0 <= x_m2 <= x_p2 <= 1
 
     @pytest.mark.parametrize("n", [0.51, 0.7, 0.99])
     def test_above_half(self, n):
-        r = roots_n2(n)
-        t = math.sqrt(2 * n - 1)
-        assert r.x_minus is None
-        assert r.y_minus == pytest.approx(math.sqrt((1 - t) / 2), abs=1e-12)
-        assert r.y_plus == pytest.approx(math.sqrt((1 + t) / 2), abs=1e-12)
-        assert 0 <= r.y_minus <= r.y_plus <= r.x_plus <= 1
+        x_m2, x_p2, y_m2, y_p2, t, gap_xy2 = exact_pdf._root_squares(n)
+        s, t_ref = math.sqrt(6 * n - 2), math.sqrt(2 * n - 1)
+        assert x_m2 < 0
+        assert x_p2 == pytest.approx((1 + s) / 3, abs=1e-12)
+        assert y_m2 == pytest.approx((1 - t_ref) / 2, abs=1e-12)
+        assert y_p2 == pytest.approx((1 + t_ref) / 2, abs=1e-12)
+        # the gaps the engine reads instead of differences of the squares
+        assert t == pytest.approx(y_p2 - y_m2, abs=1e-12)
+        assert gap_xy2 == pytest.approx(x_p2 - y_p2, abs=1e-12)
+        assert 0 <= y_m2 <= y_p2 <= x_p2 <= 1
 
 
 class TestChangeOfVariable:
