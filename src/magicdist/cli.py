@@ -186,7 +186,7 @@ def _sample_figure(args):
     overlay = None
     if args.overlay_exact:  # refused before any state is drawn
         exact = exact_pdf.law(measure, args.alpha, args.q, args.sites)
-        if exact is None or not exact.closed_form:
+        if exact is None or exact.density is None:
             raise NotImplementedError(f"no closed-form {measure} density at alpha = "
                                       f"{args.alpha!r} for q={args.q}, n={args.sites}")
         overlay = exact_pdf.tabulate_pdf(measure, alpha=args.alpha)
@@ -333,7 +333,7 @@ def cmd_reproduce_figures(args) -> int:
         fig = build_parser().parse_args(["sample", *options.split(), "--samples", str(n_samples),
                                          "--seed", str(args.seed), "--threads", str(args.threads)])
         exact = exact_pdf.law(fig.measure, fig.alpha, fig.q, fig.sites)
-        fig.overlay_exact = exact is not None and exact.closed_form
+        fig.overlay_exact = exact is not None and exact.density is not None
         csv_payload, svg = _sample_figure(fig)
         _emit(csv_payload, os.path.join(args.outdir, f"{name}.csv"))
         _emit(svg(), os.path.join(args.outdir, f"{name}.svg"))

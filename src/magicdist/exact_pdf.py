@@ -121,10 +121,6 @@ class Law:
     density: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]] | None = field(
         compare=False)
 
-    @property
-    def closed_form(self) -> bool:
-        return self.density is not None
-
 
 def law(measure: str, alpha: float = 2.0, q: int = 2, n_sites: int = 1) -> Law | None:
     """The exact law of a measure (``canonical_measure``) on a register, or
@@ -279,8 +275,9 @@ def _graded_depth(span: np.ndarray, *widths: np.ndarray) -> np.ndarray:
     return np.clip(depth, 0, _PDF_MAX_DEPTH).astype(int)
 
 
-def _graded_quadrature(depth: int, level: int, segment: str, tasks: np.ndarray) -> np.ndarray:
-    """One composite rule for each task row (lo, span, *constants).
+def _graded_quadrature(depth: int, level: int, segment, tasks: np.ndarray) -> np.ndarray:
+    """One composite rule for each task row (lo, span, *constants) of a
+    segment, given as its ``_SEGMENTS`` record.
 
     The row integrates 1/sqrt(R) over its segment [lo, lo + span] after the
     substitution x = lo + span sin^2 t, which supplies the factors of the
@@ -289,7 +286,7 @@ def _graded_quadrature(depth: int, level: int, segment: str, tasks: np.ndarray) 
     not, the node contributes 0.  Rows go through in blocks of about
     ``_PDF_BLOCK_NODES`` nodes, every block in the same four buffers.
     """
-    rest, left_root, right_root, reads_dr = _SEGMENTS[segment]
+    rest, left_root, right_root, reads_dr = segment
     sin_t, cos_t, weights = _graded_rule(depth, level)
     sin2, cos2 = sin_t * sin_t, cos_t * cos_t
     rows = max(1, _PDF_BLOCK_NODES // weights.size)
@@ -338,21 +335,6 @@ def _refine(rule, tol: np.ndarray, max_level: int, failure):
     raise ArithmeticError(failure(rows[0]))
 
 
-def _certified(segment: str, tasks: np.ndarray, depth: np.ndarray, tol: np.ndarray):
-    """Integral of each task row and the difference that certified it, by
-    ``_refine`` over the levels of each depth's graded rule."""
-    value = np.empty(len(tasks))
-    error = np.empty(len(tasks))
-    for d in np.unique(depth):
-        group = np.flatnonzero(depth == d)
-        value[group], error[group] = _refine(
-            lambda level, rows: _graded_quadrature(d, level, segment, tasks[group[rows]]),
-            tol[group], _PDF_MAX_LEVEL,
-            lambda row: f"N_2 density not certified to {tol[group[row]]:g} within "
-                        f"{_PDF_MAX_LEVEL} levels ({segment} segment)")
-    return value, error
-
-
 def _pdf_n2(n: np.ndarray, tol: np.ndarray):
     """Density of N_2 at each n of an array inside the support of its
     ``law``, with the error that certified it.
@@ -372,7 +354,7 @@ def _pdf_n2(n: np.ndarray, tol: np.ndarray):
     def integrate(segment, point, lo, span, consts, widths=()):
         """Add the segment [lo, lo + span] to the integral of each point;
         ``widths`` are its features at the ends (see ``_graded_depth``)."""
-        rest, left_root, right_root, _ = _SEGMENTS[segment]
+        record = rest, left_root, right_root, _ = _SEGMENTS[segment]
         keep = span > 0.0
         if left_root and right_root:
             # sliver between two coalescing roots: exact limit pi / sqrt(rest)
@@ -383,10 +365,20 @@ def _pdf_n2(n: np.ndarray, tol: np.ndarray):
             np.add.at(total, point[thin], math.pi / np.sqrt(r))
             keep &= ~thin
         depth = _graded_depth(span[keep], *(w[keep] for w in widths))
-        val, err = _certified(segment, np.column_stack([lo, span, *consts])[keep], depth,
-                              seg_tol[point[keep]])
-        np.add.at(total, point[keep], val)
-        np.add.at(total_err, point[keep], err)
+        tasks = np.column_stack([lo, span, *consts])[keep]
+        point = point[keep]
+        task_tol = seg_tol[point]
+        # each depth's rule certified by ``_refine``; a point is in one group
+        # only, so every point's sums into total keep the segment order
+        for d in np.unique(depth):
+            group = np.flatnonzero(depth == d)
+            val, err = _refine(
+                lambda level, rows: _graded_quadrature(d, level, record, tasks[group[rows]]),
+                task_tol[group], _PDF_MAX_LEVEL,
+                lambda row: f"N_2 density not certified to {task_tol[group[row]]:g} within "
+                            f"{_PDF_MAX_LEVEL} levels ({segment} segment)")
+            np.add.at(total, point[group], val)
+            np.add.at(total_err, point[group], err)
 
     x_m2, x_p2, y_m2, y_p2, gap_y2, gap_xy2 = _root_squares(n)
     x_p = np.sqrt(x_p2)
@@ -418,12 +410,9 @@ def _pdf_n2(n: np.ndarray, tol: np.ndarray):
 @lru_cache(maxsize=4)
 def n2_log_intercept() -> float:
     """Offset b of the local model P(n) ~ -slope*ln|n - 1/2| + b, fitted once."""
-    samples = []
-    for eps in (1e-4, 1e-5):
-        for side in (1.0, -1.0):
-            p = pdf_n2_exact(0.5 + side * eps, tol=1e-11)
-            samples.append(p + DIVERGENCE_SLOPE_N2 * math.log(eps))
-    return float(np.mean(samples))
+    eps = np.array([1e-4, 1e-4, 1e-5, 1e-5])
+    p, _ = law("n").density(0.5 + np.array([1.0, -1.0, 1.0, -1.0]) * eps, 1e-11)
+    return float(np.mean(p + DIVERGENCE_SLOPE_N2 * np.array([math.log(e) for e in eps])))
 
 
 def pdf_n2_exact(n: float, tol: float = 1e-10) -> float:
@@ -435,11 +424,17 @@ def pdf_n2_exact(n: float, tol: float = 1e-10) -> float:
     return _pdf_at("n", 2.0, n, tol)
 
 
+def _law_with_density(variable: str, alpha: float) -> Law:
+    """The one-qubit ``law`` of a variable, refused where it has no density."""
+    exact = law(variable, alpha)
+    if exact is None or exact.density is None:
+        raise NotImplementedError(f"no closed-form {variable} density at alpha = {alpha!r}")
+    return exact
+
+
 def _pdf_at(variable: str, alpha: float, x: float, tol: float) -> float:
     """The density of a one-qubit variable's ``law`` at one value."""
-    density = law(variable, alpha).density
-    if density is None:
-        raise NotImplementedError(f"no closed-form {variable} density at alpha = {alpha!r}")
+    density = _law_with_density(variable, alpha).density
     return float(density(np.array([x], dtype=float), tol)[0][0])
 
 
@@ -726,9 +721,10 @@ class PdfCurve:
         object.__setattr__(self, "densities", y)
         if x.shape != y.shape:
             raise ValueError("abscissas and densities must have equal length")
-        if np.any(np.diff(x) <= 0):
-            raise ValueError("abscissas must be strictly increasing")
-        if np.any(y < 0):
+        # written so that NaN, which fails every comparison, fails them too
+        if not (np.all(np.isfinite(x)) and np.all(np.diff(x) > 0)):
+            raise ValueError("abscissas must be finite and strictly increasing")
+        if not np.all(y >= 0):
             raise ValueError("densities must be non-negative")
 
     def integral(self) -> float:
@@ -797,9 +793,7 @@ def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: 
         raise ValueError(f"num_points must be at least 2, got {num_points}")
     if num_points > MAX_POINTS:
         raise ResourceLimit(f"point guard: num_points <= {MAX_POINTS}, got {num_points}")
-    exact = law(v, alpha)
-    if exact is None or exact.density is None:
-        raise NotImplementedError(f"no closed-form {v} density at alpha = {alpha!r}")
+    exact = _law_with_density(v, alpha)
     # every kept grid point must stay outside the density's own guard
     if not (SINGULAR_GUARD < _GUARD_KEEP * guard and guard < 0.1):
         raise ValueError(f"guard must lie in ({SINGULAR_GUARD / _GUARD_KEEP:.6g}, 0.1), "

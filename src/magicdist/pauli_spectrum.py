@@ -87,7 +87,8 @@ class PauliSpectrum:
         d = self.dim
         if vals.size != d * d - 1:
             raise DimensionMismatch(f"expected {d*d - 1} values, got {vals.size}")
-        if vals.size and (vals.min() < -1e-12 or vals.max() > 1.0 + 1e-9):
+        # written so that NaN, which fails every comparison, fails it too
+        if vals.size and not (vals.min() >= -1e-12 and vals.max() <= 1.0 + 1e-9):
             raise ValueError("spectrum entries must lie in [0, 1]")
 
     @property
@@ -505,6 +506,8 @@ def hermitian_observable(obs, dim: int) -> np.ndarray:
     a = np.asarray(obs, dtype=np.complex128)
     if a.shape != (dim, dim):
         raise DimensionMismatch(f"observable shape {a.shape} does not match d={dim}")
+    if not np.all(np.isfinite(a)):
+        raise InvalidObservable("observable entries must be finite")
     if np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise InvalidObservable("observable is not Hermitian within 1e-10")
     return a

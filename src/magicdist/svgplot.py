@@ -131,11 +131,10 @@ def plot_svg(
               for xs, ys, color, style in series]
     all_x, all_y = [], []
     for xs, ys, _color, _style in series:
-        xs = xs.tolist()
-        all_x.extend([min(xs), max(xs)])
-        vals = [v for v in ys.tolist() if (v > 0 if log_y else True)]
-        if vals:
-            all_y.extend([min(vals), max(vals)])
+        all_x.extend([float(xs.min()), float(xs.max())])
+        vals = ys[ys > 0] if log_y else ys
+        if vals.size:
+            all_y.extend([float(vals.min()), float(vals.max())])
     if not all_y:
         all_y = [0.0, 1.0]
     y_lo = min(all_y) if log_y else 0.0

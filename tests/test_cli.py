@@ -650,6 +650,7 @@ REJECTED = [
     (["measure", "--haar", "--dim", "1099511627776"], 4),
     (["measure", "--haar", "--dim", "100000", "--local-dim", "100000"], 4),
     (["measure", "--amplitudes", "0,0"], 2),
+    (["measure", "--amplitudes", "1,0,0"], 2),  # an odd count is no list of re,im pairs
     (["measure", "--bloch", "nan,0,0"], 2),
     # the guards hold for every state source, not only --haar
     (["measure", "--amplitudes", ",".join(["1,0"] * 17), "--local-dim", "17"], 4),
@@ -840,7 +841,7 @@ def test_a_new_law_is_one_new_row(monkeypatch, tmp_path):
 @pytest.mark.parametrize("measure", pauli_spectrum.MEASURES)
 def test_every_caller_agrees_with_the_law(capsys, monkeypatch, measure, alpha, q, sites):
     exact = exact_pdf.law(measure, alpha, q, sites)
-    closed = exact is not None and exact.closed_form
+    closed = exact is not None and exact.density is not None
     options = ["--measure", measure, "--alpha", str(alpha), "--q", str(q), "--sites", str(sites)]
     assert (main(["sample", *options, "--samples", "300", "--bins", "8",
                   "--overlay-exact"]) == 0) == closed

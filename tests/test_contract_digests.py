@@ -67,6 +67,9 @@ PINNED = {
     "fit_exact.json": "a9d49a330404b15440320e05b9303664d201320a378c6e8fb431ba7faa4e0356",
     "mean_sre.json": "510940d4919226e5ace9a61834fb6c59ef0ba4cab69011262b6b4486bb5b0d35",
     "mean_sre_tol1e-12.json": "04a9bec84e6542c7e9e9560fcbc3ebca813f0d0560ed8765d6b424146c35ed03",
+    # the paper's 26 classified critical points and the one-qubit n_alpha/gamma_alpha bits
+    "critical_alpha2.json": "81fe35a78cac764e5cd13501acb4c071cf802ac9ceba9998c5115ee33a8cde40",
+    "measure_one_qubit.json": "ce6944d588d6a0e431ae265d6319f6a29e449daba731523556b2c288e01bb9e0",
 }
 
 

@@ -193,9 +193,12 @@ class TestChangeOfVariable:
         assert pdf_m(2.0, -0.01) == 0.0
 
     def test_alpha_not_two_unsupported(self):
-        with pytest.raises(NotImplementedError):
-            pdf_xi(3.0, 0.9)
-        with pytest.raises(NotImplementedError):
+        # a value and a tabulation are refused in the same words
+        for call in (lambda: pdf_xi(3.0, 0.9), lambda: tabulate_pdf("xi", 3.0, num_points=20)):
+            with pytest.raises(NotImplementedError, match=r"^no closed-form xi density at "
+                                                          r"alpha = 3\.0$"):
+                call()
+        with pytest.raises(NotImplementedError, match="no closed-form m density"):
             pdf_m(3.0, 0.1)
 
     def test_mapped_singularities(self):
@@ -261,6 +264,17 @@ class TestCriticalPoints:
         with pytest.raises(ArithmeticError):
             exact_pdf._check_critical(saddle * math.cos(1e-3) + along * math.sin(1e-3),
                                       "C2_saddle", alpha)
+
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.0 + 1e-13])
+    def test_a_saddle_too_flat_to_classify_is_refused(self, alpha):
+        # the saddle's positive tangent eigenvalue, 2 (alpha - 1) against -1, falls
+        # under the 1e-8 relative zero: the signature reads degenerate, and the
+        # classification refuses rather than names a class
+        with pytest.raises(ArithmeticError, match="classification failed"):
+            critical_points(alpha)
+        saddle = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
+        eigs = exact_pdf._tangent_hessian_eigs(saddle, alpha)
+        assert eigs.min() == pytest.approx(-1.0) and 0.0 < eigs.max() < 1e-8
 
     def test_saddle_values(self):
         assert n_critical(2.0) == pytest.approx(0.5)
@@ -560,6 +574,26 @@ class TestTabulation:
         assert exact_pdf.law(variable) is None
         with pytest.raises(NotImplementedError):
             tabulate_pdf(variable, num_points=20)
+
+    @pytest.mark.parametrize("abscissas, densities, message", [
+        ([0.0, 1.0, 2.0], [1.0, 1.0], "equal length"),
+        ([0.0, 1.0, 1.0], [1.0, 1.0, 1.0], "strictly increasing"),
+        ([0.0, 1.0, 2.0], [1.0, -1.0, 1.0], "non-negative"),
+    ], ids=["lengths", "order", "sign"])
+    def test_a_malformed_curve_is_refused(self, abscissas, densities, message):
+        with pytest.raises(ValueError, match=message):
+            PdfCurve("n", 2.0, abscissas, densities, (0.0, 2.0))
+
+    @pytest.mark.parametrize("abscissas, densities", [
+        ([0.0, np.nan, 2.0], [1.0, 1.0, 1.0]),
+        ([np.nan], [1.0]),  # no difference to compare
+        ([0.0, 1.0, np.inf], [1.0, 1.0, 1.0]),
+        ([0.0, 1.0, 2.0], [1.0, np.nan, 1.0]),
+    ], ids=["nan_abscissa", "lone_nan_abscissa", "inf_abscissa", "nan_density"])
+    def test_a_nan_curve_is_refused(self, abscissas, densities):
+        # NaN fails every comparison, so a check of the form "if bad: raise" lets it by
+        with pytest.raises(ValueError):
+            PdfCurve("n", 2.0, abscissas, densities, (0.0, 2.0))
 
 
 class TestDensityEngine:

@@ -306,6 +306,17 @@ class TestHistogramMeasure:
         assert h.n_below == 0 and h.n_above == 0
         assert h.counts.sum() == 200_000
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_observable_is_refused_before_any_draw(self, monkeypatch, bad):
+        # a NaN entry used to pass the Hermiticity check and lose every sample from the counts
+        def refuse(*args):
+            raise AssertionError("drew a state before refusing the observable")
+
+        monkeypatch.setattr(montecarlo, "haar_block", refuse)
+        obs = np.array([[bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(InvalidObservable, match="finite"):
+            histogram_measure("observable", 2.0, 2, 1, 100, 0, [-1.0, 0.0, 1.0], observable=obs)
+
     def test_windowed_histogram_counts_not_raises(self):
         edges = np.linspace(0.45, 0.55, 21)
         with warnings.catch_warnings(record=True) as caught:
@@ -570,6 +581,33 @@ class TestDivergenceFit:
         expected = tuple(float(v) for v in np.quantile(slopes, [0.025, 0.975]))
         assert bootstrap_slope_ci(h, 0.5, window, side, n_boot=50, seed=seed) == expected
         assert (lost > 0) == (total == 300)
+
+
+# a four-point curve with a divergence at 0.5, for refusals that need any PdfCurve
+_FLAT_CURVE = PdfCurve("n", 2.0, [1 / 3, 0.4, 0.6, 1.0], [1.5, 2.0, 2.0, 0.75], (1 / 3, 1.0),
+                       (0.5,))
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: Histogram(np.array([0.0, 1.0, 2.0]), np.array([1]), 1), InvalidEdges,
+     "need 2 counts"),
+    (lambda: montecarlo.window_mask(np.array([0.4, 0.6]), 0.5, (1e-3, 0.2), "middle"),
+     ValueError, "side must be"),
+    (lambda: fit_log_divergence(np.ones(3), 0.5, (1e-5, 2e-2)), TypeError,
+     "expected Histogram or PdfCurve"),
+    # five window bins hold a count, so no resample can keep the six a fit needs
+    (lambda: bootstrap_slope_ci(synthetic_log_histogram(total=100), 0.5, (4e-3, 2e-2), "left",
+                                n_boot=20), InsufficientData, "lost their bins"),
+    (lambda: scan_divergence_center(synthetic_log_histogram(), [0.499, 0.5], (1e-5, 1.5e-5)),
+     InsufficientData, "no candidate center"),
+    # the one bin straddles the divergence and is excluded
+    (lambda: gof_compare(build_histogram(np.array([0.5]), [0.45, 0.55]), _FLAT_CURVE, 1e-3),
+     InsufficientData, "no bins left"),
+], ids=["histogram_counts", "window_side", "fit_source", "bootstrap_bins", "scan_centers",
+        "gof_bins"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 @pytest.fixture(scope="module")

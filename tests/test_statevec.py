@@ -68,6 +68,16 @@ class TestHaarSample:
         with pytest.raises(InvalidDimension):
             haar_sample(1, SeededRng(0))
 
+    @pytest.mark.parametrize("call, error, match", [
+        (lambda: haar_block(1, SeededRng(0), 4), InvalidDimension, "need d >= 2"),
+        (lambda: haar_block(0, SeededRng(0), 4), InvalidDimension, "need d >= 2"),
+        (lambda: haar_sample(2, 42), TypeError, "expected SeededRng or numpy Generator"),
+        (lambda: haar_block(2, np.random.RandomState(0), 4), TypeError, "got RandomState"),
+    ], ids=["block_d1", "block_d0", "seed_for_rng", "legacy_rng"])
+    def test_refusals(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()
+
     @pytest.mark.parametrize("d, local_dim", [(8, 3), (6, 2), (3, 2), (4, 3)])
     def test_local_dim_mismatch(self, d, local_dim):
         with pytest.raises(InvalidDimension):

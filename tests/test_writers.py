@@ -4,6 +4,7 @@ The references below are the writers' earlier per-value formulas, kept as
 the rule the one-pass writers must match character for character.
 """
 import math
+import re
 
 import numpy as np
 import pytest
@@ -128,3 +129,17 @@ def test_step_series_is_the_polyline_of_its_bin_corners(log_y):
         sx.extend([edges[i], edges[i + 1]])
         sy.extend([v, v])
     assert reference_polyline(frame, sx, sy, "#3050b0") in svg.splitlines()
+
+
+@pytest.mark.parametrize("lo, hi", [(2.0, 2.0), (2.0, -1.0), (0.0, 0.0)])
+def test_an_empty_tick_range_spans_one_unit(lo, hi):
+    assert svgplot._nice_ticks(lo, hi) == svgplot._nice_ticks(lo, lo + 1.0)
+
+
+@pytest.mark.parametrize("ys", [[0.0, 0.0, 0.0, 0.0], [0.0, -1.0, -0.0, -2.0]])
+def test_a_log_plot_without_a_positive_value_spans_the_floor_to_one(ys):
+    svg = svgplot.plot_svg([(np.linspace(0.0, 1.0, 4), np.array(ys), "#000000", "line")],
+                           log_y=True)
+    # the y range falls back to [0, 1.06]; on the log axis 0 sits at the 1e-12 floor
+    y_labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
+    assert y_labels == ["1e-10", "3.16228e-08", "1e-05", "0.00316228", "1"]
