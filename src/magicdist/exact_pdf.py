@@ -409,10 +409,13 @@ def _pdf_n2(n: np.ndarray, tol: np.ndarray):
 
 @lru_cache(maxsize=4)
 def n2_log_intercept() -> float:
-    """Offset b of the local model P(n) ~ -slope*ln|n - 1/2| + b, fitted once."""
+    """Offset b of the local model P(n) ~ -slope*ln|n - 1/2| + b, fitted once
+    to the density at 1/2 +- 1e-4 and 1/2 +- 1e-5."""
     eps = np.array([1e-4, 1e-4, 1e-5, 1e-5])
     p, _ = law("n").density(0.5 + np.array([1.0, -1.0, 1.0, -1.0]) * eps, 1e-11)
-    return float(np.mean(p + DIVERGENCE_SLOPE_N2 * np.array([math.log(e) for e in eps])))
+    # math.log per value: numpy's SIMD log need not match libm to the last ulp
+    log_eps = np.array([math.log(e) for e in eps])
+    return float(np.mean(p + DIVERGENCE_SLOPE_N2 * log_eps))
 
 
 def pdf_n2_exact(n: float, tol: float = 1e-10) -> float:

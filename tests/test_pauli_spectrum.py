@@ -218,23 +218,6 @@ class TestSpectrumStorage:
         vals.setflags(write=False)
         assert np.shares_memory(PauliSpectrum(vals, 2, 1).values, vals)
 
-    @pytest.mark.parametrize("call, error, match", [
-        (lambda: PauliSpectrum(np.zeros(2), 2, 1), DimensionMismatch, "expected 3 values"),
-        (lambda: PauliSpectrum([0.5, 1.5, 0.0], 2, 1), ValueError, "must lie in"),
-        (lambda: PauliSpectrum([0.5, -0.1, 0.0], 2, 1), ValueError, "must lie in"),
-        (lambda: PauliSpectrum([np.nan] * 3, 2, 1), ValueError, "must lie in"),
-        (lambda: PauliSpectrum(np.zeros(3), 2, 1).value(0, 0), IndexError, "out of range"),
-        (lambda: PauliSpectrum(np.zeros(3), 2, 1).value(2, 0), IndexError, "out of range"),
-        # within the 1e-10 Hermiticity check, an anti-Hermitian part of 4.9e-11 per
-        # entry still leaves <psi|A|psi> an imaginary part of 4 x 4.9e-11 at d = 4
-        (lambda: expectation(state_from_amplitudes([0.5] * 4), 4.9e-11j * np.ones((4, 4))),
-         InvalidObservable, "imaginary residue"),
-    ], ids=["size", "above_one", "below_zero", "nan", "identity_pair", "pair_past_d",
-            "imaginary_residue"])
-    def test_refusals(self, call, error, match):
-        with pytest.raises(error, match=match):
-            call()
-
     def test_fast_spectrum_holds_one_d2_array(self):
         # the spectrum owns one d^2 buffer; the kernel's scratch (~2 MiB) and
         # the report's power sum (8 MiB blocks) add a fixed amount to it
@@ -577,6 +560,24 @@ class TestCoherenceAndExpectation:
         obs = np.array([[bad, 0], [0, 1]], dtype=complex)
         with pytest.raises(InvalidObservable, match="finite"):
             expectation(haar_sample(2, SeededRng(0)), obs)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda: PauliSpectrum(np.zeros(2), 2, 1), DimensionMismatch, "expected 3 values"),
+    (lambda: PauliSpectrum([0.5, 1.5, 0.0], 2, 1), ValueError, "must lie in"),
+    (lambda: PauliSpectrum([0.5, -0.1, 0.0], 2, 1), ValueError, "must lie in"),
+    (lambda: PauliSpectrum([np.nan] * 3, 2, 1), ValueError, "must lie in"),
+    (lambda: PauliSpectrum(np.zeros(3), 2, 1).value(0, 0), IndexError, "out of range"),
+    (lambda: PauliSpectrum(np.zeros(3), 2, 1).value(2, 0), IndexError, "out of range"),
+    # within the 1e-10 Hermiticity check, an anti-Hermitian part of 4.9e-11 per
+    # entry still leaves <psi|A|psi> an imaginary part of 4 x 4.9e-11 at d = 4
+    (lambda: expectation(state_from_amplitudes([0.5] * 4), 4.9e-11j * np.ones((4, 4))),
+     InvalidObservable, "imaginary residue"),
+], ids=["size", "above_one", "below_zero", "nan", "identity_pair", "pair_past_d",
+        "imaginary_residue"])
+def test_refusals(call, error, match):
+    with pytest.raises(error, match=match):
+        call()
 
 
 class TestBatchedKernels:
