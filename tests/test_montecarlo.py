@@ -584,7 +584,7 @@ class TestDivergenceFit:
 
 
 # a four-point curve with a divergence at 0.5, for refusals that need any PdfCurve
-_FLAT_CURVE = PdfCurve("n", 2.0, [1 / 3, 0.4, 0.6, 1.0], [1.5, 2.0, 2.0, 0.75], (1 / 3, 1.0),
+_TOY_CURVE = PdfCurve("n", 2.0, [1 / 3, 0.4, 0.6, 1.0], [1.5, 2.0, 2.0, 0.75], (1 / 3, 1.0),
                        (0.5,))
 
 
@@ -601,7 +601,7 @@ _FLAT_CURVE = PdfCurve("n", 2.0, [1 / 3, 0.4, 0.6, 1.0], [1.5, 2.0, 2.0, 0.75], 
     (lambda: scan_divergence_center(synthetic_log_histogram(), [0.499, 0.5], (1e-5, 1.5e-5)),
      InsufficientData, "no candidate center"),
     # the one bin straddles the divergence and is excluded
-    (lambda: gof_compare(build_histogram(np.array([0.5]), [0.45, 0.55]), _FLAT_CURVE, 1e-3),
+    (lambda: gof_compare(build_histogram(np.array([0.5]), [0.45, 0.55]), _TOY_CURVE, 1e-3),
      InsufficientData, "no bins left"),
 ], ids=["histogram_counts", "window_side", "fit_source", "bootstrap_bins", "scan_centers",
         "gof_bins"])
