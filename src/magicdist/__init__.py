@@ -62,10 +62,8 @@ from .exact_pdf import (
     mean_sre_exact,
     n_critical,
     pdf_coherence,
-    pdf_m,
     pdf_n2_exact,
     pdf_observable,
-    pdf_xi,
     support_for,
     tabulate_pdf,
 )

@@ -103,6 +103,8 @@ def _measure_name(text: str) -> str:
 def _parse_state(args):
     """(local_dim, num_sites) of the requested state and a function that
     returns the state; a Haar state is drawn only when it is called."""
+    if sum(map(bool, (args.bloch, args.amplitudes, args.haar))) != 1:
+        raise ValueError("give exactly one state: --bloch, --amplitudes or --haar")
     if args.bloch:
         state = from_bloch(BlochVector(*_floats(args.bloch, "--bloch", 3)))
     elif args.amplitudes:
@@ -114,11 +116,9 @@ def _parse_state(args):
         if norm == 0:
             raise ValueError("--amplitudes must not all be zero")
         state = state_from_amplitudes(amps / norm, local_dim=args.local_dim)
-    elif args.haar:
+    else:
         shape = register_shape(args.dim, args.local_dim)
         return shape, lambda: haar_sample(args.dim, SeededRng(args.seed), local_dim=shape[0])
-    else:
-        raise ValueError("state required: --bloch, --amplitudes or --haar")
     return (state.local_dim, state.num_sites), lambda: state
 
 

@@ -424,21 +424,7 @@ def pdf_n2_exact(n: float, tol: float = 1e-10) -> float:
     Returns 0 outside [1/3, 1]; raises SingularPoint within 1e-9 of the
     divergent abscissa n = 1/2, carrying the fitted logarithmic model.
     """
-    return _pdf_at("n", 2.0, n, tol)
-
-
-def _law_with_density(variable: str, alpha: float) -> Law:
-    """The one-qubit ``law`` of a variable, refused where it has no density."""
-    exact = law(variable, alpha)
-    if exact is None or exact.density is None:
-        raise NotImplementedError(f"no closed-form {variable} density at alpha = {alpha!r}")
-    return exact
-
-
-def _pdf_at(variable: str, alpha: float, x: float, tol: float) -> float:
-    """The density of a one-qubit variable's ``law`` at one value."""
-    density = _law_with_density(variable, alpha).density
-    return float(density(np.array([x], dtype=float), tol)[0][0])
+    return float(law("n").density(np.array([n], dtype=float), tol)[0][0])
 
 
 def _mapped_density(variable: str, alpha: float, support, x: np.ndarray, tol: float):
@@ -465,16 +451,6 @@ def _mapped_density(variable: str, alpha: float, support, x: np.ndarray, tol: fl
     dens[inside] = jac * p
     error[inside] = jac * e
     return dens, error
-
-
-def pdf_xi(alpha: float, xi: float, tol: float = 1e-10) -> float:
-    """Density of the stabilizer purity; exact evaluation needs alpha = 2."""
-    return _pdf_at("xi", alpha, xi, tol)
-
-
-def pdf_m(alpha: float, m: float, tol: float = 1e-10) -> float:
-    """Density of the stabilizer Renyi entropy (nats); alpha = 2 only."""
-    return _pdf_at("m", alpha, m, tol)
 
 
 def pdf_coherence(c: float) -> float:
@@ -796,7 +772,9 @@ def tabulate_pdf(variable: str, alpha: float = 2.0, num_points: int = 600, tol: 
         raise ValueError(f"num_points must be at least 2, got {num_points}")
     if num_points > MAX_POINTS:
         raise ResourceLimit(f"point guard: num_points <= {MAX_POINTS}, got {num_points}")
-    exact = _law_with_density(v, alpha)
+    exact = law(v, alpha)
+    if exact is None or exact.density is None:
+        raise NotImplementedError(f"no closed-form {v} density at alpha = {alpha!r}")
     # every kept grid point must stay outside the density's own guard
     if not (SINGULAR_GUARD < _GUARD_KEEP * guard and guard < 0.1):
         raise ValueError(f"guard must lie in ({SINGULAR_GUARD / _GUARD_KEEP:.6g}, 0.1), "

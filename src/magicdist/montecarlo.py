@@ -192,12 +192,22 @@ def _add_bins(binned, edges) -> Histogram:
     return Histogram(edges, counts, total, below, above)
 
 
+def _finite(chunk) -> np.ndarray:
+    """A chunk of samples as a float array; ValueError if any is not finite,
+    since no bin, ``n_below`` or ``n_above`` would count a NaN."""
+    values = np.asarray(chunk, dtype=float)
+    bad = values.size - np.count_nonzero(np.isfinite(values))
+    if bad:
+        raise ValueError(f"{bad} of {values.size} samples are not finite")
+    return values
+
+
 def build_histogram(samples, edges) -> Histogram:
-    """Bin a sample array or a stream of sample chunks."""
+    """Bin a sample array or a stream of sample chunks, all of them finite."""
     edges = _check_edges(edges)
     if isinstance(samples, np.ndarray):
         samples = [samples]
-    binned = (_bin_chunk(np.asarray(chunk, dtype=float), edges) for chunk in samples)
+    binned = (_bin_chunk(_finite(chunk), edges) for chunk in samples)
     return _add_bins(binned, edges)
 
 

@@ -502,7 +502,9 @@ def coherence_l1(s: PureState) -> float:
 
 
 def hermitian_observable(obs, dim: int) -> np.ndarray:
-    """``obs`` as a complex (dim, dim) array, checked to be Hermitian."""
+    """The Hermitian part (A + A^dagger)/2 of ``obs`` as a complex (dim, dim)
+    array, after checking that A is Hermitian within 1e-10; an exactly
+    Hermitian A comes back to the bit."""
     a = np.asarray(obs, dtype=np.complex128)
     if a.shape != (dim, dim):
         raise DimensionMismatch(f"observable shape {a.shape} does not match d={dim}")
@@ -510,21 +512,14 @@ def hermitian_observable(obs, dim: int) -> np.ndarray:
         raise InvalidObservable("observable entries must be finite")
     if np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise InvalidObservable("observable is not Hermitian within 1e-10")
-    return a
-
-
-def _expectation_rows(states: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<psi|A|psi> (complex) for each row psi of a (m, d) array of states."""
-    return np.einsum("bi,ij,bj->b", states.conj(), a, states)
+    return (a + a.conj().T) / 2
 
 
 def expectation(s: PureState, obs: np.ndarray) -> float:
-    """Real expectation value <psi|A|psi> of a Hermitian observable, as ``measure_rows``."""
+    """Real expectation value <psi|A|psi> of a Hermitian observable: the
+    state's ``measure_rows`` row."""
     a = hermitian_observable(obs, s.dim)
-    val = complex(_expectation_rows(s.amplitudes[None, :], a)[0])
-    if abs(val.imag) > 1e-10:
-        raise InvalidObservable(f"expectation has imaginary residue {val.imag!r}")
-    return val.real
+    return float(measure_rows(s.amplitudes[None, :], "observable", None, s.local_dim, a)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +589,7 @@ def measure_rows(states: np.ndarray, measure: str, alpha: float, q: int,
     if measure == "coherence":  # (sum_i |psi_i|)^2 - 1
         total = np.sum(np.abs(states), axis=1)
         return np.maximum(total * total - 1.0, 0.0)
-    if measure == "observable":
-        return _expectation_rows(states, observable).real
+    if measure == "observable":  # <psi|A|psi>, whose imaginary part is rounding
+        return np.einsum("bi,ij,bj->b", states.conj(), observable, states).real
     kernel = pauli_moment_batch if q == 2 else weyl_moment_batch
     return measure_from_n(kernel(states, alpha), measure, alpha, states.shape[1])

@@ -18,10 +18,14 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
+def _span(lo: float, hi: float) -> tuple[float, float]:
+    """(lo, hi), or (lo, lo + 1) where that range is empty."""
+    return (lo, lo + 1.0) if hi <= lo else (lo, hi)
+
+
 def _nice_ticks(lo: float, hi: float):
     """About six round-numbered ticks spanning [lo, hi]."""
-    if hi <= lo:
-        hi = lo + 1.0
+    lo, hi = _span(lo, hi)
     raw = (hi - lo) / 6
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
@@ -39,12 +43,13 @@ def _nice_ticks(lo: float, hi: float):
 
 class _Frame:
     def __init__(self, xlim, ylim, log_y):
-        self.x0, self.x1 = xlim
-        self.y0, self.y1 = ylim
-        self.log_y = log_y
+        y0, y1 = ylim
         if log_y:
-            self.y0 = math.log10(max(self.y0, 1e-12))
-            self.y1 = math.log10(max(self.y1, 1e-12))
+            y0, y1 = math.log10(max(y0, 1e-12)), math.log10(max(y1, 1e-12))
+        # one abscissa, or every value at the log floor, still spans one unit
+        self.x0, self.x1 = _span(*xlim)
+        self.y0, self.y1 = _span(y0, y1)
+        self.log_y = log_y
 
     def px(self, x):
         """Pixel column of a number or of each value of an array."""

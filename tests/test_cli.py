@@ -652,6 +652,9 @@ REJECTED = [
     (["measure", "--amplitudes", "0,0"], 2),
     (["measure", "--amplitudes", "1,0,0"], 2),  # an odd count is no list of re,im pairs
     (["measure", "--bloch", "nan,0,0"], 2),
+    # one state source: a second one is refused, not dropped
+    (["measure", "--bloch", "0.6,0,0.8", "--amplitudes", "1,0,0,0"], 2),
+    (["measure", "--amplitudes", "1,0,0,0", "--haar", "--dim", "2", "--seed", "5"], 2),
     # the guards hold for every state source, not only --haar
     (["measure", "--amplitudes", ",".join(["1,0"] * 17), "--local-dim", "17"], 4),
     (["measure", "--amplitudes", "1,0,0,0", "--alpha", "inf"], 3),

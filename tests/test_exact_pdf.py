@@ -1,6 +1,7 @@
 import dataclasses
 import math
 from decimal import Decimal
+from functools import partial
 import tracemalloc
 
 import numpy as np
@@ -22,10 +23,8 @@ from magicdist import (
     mean_sre_exact,
     n_critical,
     pdf_coherence,
-    pdf_m,
     pdf_n2_exact,
     pdf_observable,
-    pdf_xi,
     single_qubit_cliffords,
     support_for,
     tabulate_pdf,
@@ -54,9 +53,12 @@ MEAN_SRE_BITS = 0.33026339759786131
 # mpmath 1.3.0, mp.quad at 40 digits over [0, 1/2] and [1/2, 1]
 MEAN_SRE_40_DIGITS = "0.22892114288710578057833977338194509535"
 
-def pdf_mlin(alpha, v, tol=1e-10):
-    """Density of the linear entropy, through the density of its law."""
-    return float(law("mlin", alpha).density(np.array([v], dtype=float), tol)[0][0])
+def law_density(variable, alpha, x, tol=1e-10):
+    """Density of a one-qubit variable at one value, through the density of its law."""
+    return float(law(variable, alpha).density(np.array([x], dtype=float), tol)[0][0])
+
+
+xi_density, m_density, mlin_density = (partial(law_density, v) for v in ("xi", "m", "mlin"))
 
 
 CHI_REFS = [
@@ -160,14 +162,14 @@ class TestChangeOfVariable:
     def test_singular_models_keep_their_closed_forms(self):
         slope, b = DIVERGENCE_SLOPE_N2, exact_pdf.n2_log_intercept()
         with pytest.raises(SingularPoint) as err:
-            pdf_xi(2.0, 0.75)
+            xi_density(2.0, 0.75)
         assert err.value.log_slope == pytest.approx(2.0 * slope, rel=1e-12)
         assert err.value.log_intercept == pytest.approx(2.0 * (b - slope * math.log(2.0)),
                                                         rel=1e-12)
         mc = law("m", 2.0).singular_points[0]
         scale = 2.0 * math.exp(-mc)  # 2 e^((1 - alpha) m_c) (alpha - 1) at alpha = 2
         with pytest.raises(SingularPoint) as err:
-            pdf_m(2.0, mc)
+            m_density(2.0, mc)
         assert err.value.location == mc
         assert err.value.log_slope == pytest.approx(scale * slope, rel=1e-12)
         assert err.value.log_intercept == pytest.approx(
@@ -175,46 +177,45 @@ class TestChangeOfVariable:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-10, 1e-13, 1e-3, 1.0])
     def test_tolerance_range_enforced(self, tol):
-        for density in (pdf_xi, pdf_m):
+        for density in (xi_density, m_density):
             with pytest.raises(ValueError, match="tol must lie"):
                 density(2.0, 0.2, tol=tol)
         with pytest.raises(ValueError, match="tol must lie"):
             tabulate_pdf("xi", num_points=20, tol=tol)
 
     def test_xi_value(self):
-        assert pdf_xi(2.0, 0.87, tol=1e-10) == pytest.approx(2.209523923758365, abs=1e-9)
+        assert xi_density(2.0, 0.87, tol=1e-10) == pytest.approx(2.209523923758365, abs=1e-9)
 
     def test_m_value(self):
-        assert pdf_m(2.0, 0.2, tol=1e-10) == pytest.approx(2.338225249898894, abs=1e-9)
+        assert m_density(2.0, 0.2, tol=1e-10) == pytest.approx(2.338225249898894, abs=1e-9)
 
     def test_outside_support(self):
-        assert pdf_xi(2.0, 0.5) == 0.0
-        assert pdf_m(2.0, 0.5) == 0.0
-        assert pdf_m(2.0, -0.01) == 0.0
+        assert xi_density(2.0, 0.5) == 0.0
+        assert m_density(2.0, 0.5) == 0.0
+        assert m_density(2.0, -0.01) == 0.0
 
     def test_alpha_not_two_unsupported(self):
-        # a value and a tabulation are refused in the same words
-        for call in (lambda: pdf_xi(3.0, 0.9), lambda: tabulate_pdf("xi", 3.0, num_points=20)):
-            with pytest.raises(NotImplementedError, match=r"^no closed-form xi density at "
-                                                          r"alpha = 3\.0$"):
-                call()
-        with pytest.raises(NotImplementedError, match="no closed-form m density"):
-            pdf_m(3.0, 0.1)
+        # the law has no density there, and a tabulation is refused
+        assert law("xi", 3.0).density is None
+        assert law("m", 3.0).density is None
+        with pytest.raises(NotImplementedError, match=r"^no closed-form xi density at "
+                                                      r"alpha = 3\.0$"):
+            tabulate_pdf("xi", 3.0, num_points=20)
 
     def test_mapped_singularities(self):
         assert law("xi", 2.0).singular_points[0] == pytest.approx(0.75)
         assert law("m", 2.0).singular_points[0] == pytest.approx(math.log(4 / 3))
         with pytest.raises(SingularPoint) as err:
-            pdf_xi(2.0, 0.75)
+            xi_density(2.0, 0.75)
         assert err.value.log_slope == pytest.approx(2 * DIVERGENCE_SLOPE_N2, rel=1e-9)
         with pytest.raises(SingularPoint) as err:
-            pdf_m(2.0, math.log(4 / 3))
+            m_density(2.0, math.log(4 / 3))
         assert err.value.location == pytest.approx(math.log(4 / 3))
 
     def test_xi_divergence_slope(self):
         # chain rule doubles the coefficient: 6/(sqrt(2) pi) against ln(eps)
         eps = np.array([1e-4, 1e-5, 1e-6])
-        vals = np.array([pdf_xi(2.0, 0.75 + e, tol=1e-10) for e in eps])
+        vals = np.array([xi_density(2.0, 0.75 + e, tol=1e-10) for e in eps])
         slope = np.polyfit(-np.log(eps), vals, 1)[0]
         assert slope == pytest.approx(2 * DIVERGENCE_SLOPE_N2, rel=0.02)
 
@@ -222,7 +223,7 @@ class TestChangeOfVariable:
         mc = law("m", 2.0).singular_points[0]
         eps = np.array([1e-4, 1e-5, 1e-6])
         for side in (+1, -1):
-            vals = np.array([pdf_m(2.0, mc + side * e, tol=1e-10) for e in eps])
+            vals = np.array([m_density(2.0, mc + side * e, tol=1e-10) for e in eps])
             slope = np.polyfit(-np.log(eps), vals, 1)[0]
             assert slope == pytest.approx(1.5 * DIVERGENCE_SLOPE_N2, rel=0.03)
 
@@ -538,12 +539,12 @@ class TestTabulation:
         assert curve.integral() == pytest.approx(1.0, abs=2e-4)
         i = int(np.searchsorted(curve.abscissas, 0.87))
         x = float(curve.abscissas[i])
-        assert curve.densities[i] == pytest.approx(pdf_xi(2.0, x, tol=1e-9), abs=1e-8)
+        assert curve.densities[i] == pytest.approx(xi_density(2.0, x, tol=1e-9), abs=1e-8)
 
     def test_m_boundary_steps(self):
         # P_M(0+) = 2 P_N(1-) = 3/2 and P_M(log(3/2)-) = (4/3) P_N(1/3+) = 2
-        assert pdf_m(2.0, 1e-10, tol=1e-10) == pytest.approx(1.5, abs=1e-7)
-        assert pdf_m(2.0, math.log(1.5) - 1e-10, tol=1e-10) == pytest.approx(2.0, abs=1e-7)
+        assert m_density(2.0, 1e-10, tol=1e-10) == pytest.approx(1.5, abs=1e-7)
+        assert m_density(2.0, math.log(1.5) - 1e-10, tol=1e-10) == pytest.approx(2.0, abs=1e-7)
 
     def test_exact_curve_divergence_fit(self):
         curve = tabulate_pdf("n", num_points=900, tol=1e-10, guard=1e-6)
@@ -560,7 +561,7 @@ class TestTabulation:
     def test_mlin_is_the_mirrored_purity(self):
         # M_lin = 1 - Xi, so P_Mlin(v) = P_Xi(1 - v) through the same N
         for v in (0.01, 0.1, 0.2, 0.2499, 0.2501, 0.3):
-            assert pdf_mlin(2.0, v) == pdf_xi(2.0, 1.0 - v)
+            assert mlin_density(2.0, v) == xi_density(2.0, 1.0 - v)
 
     def test_mlin_curve_divergence_fit(self):
         # |dN/dv| = 2 doubles the coefficient of N_2, as for Xi
@@ -606,7 +607,7 @@ class TestDensityEngine:
 
     @pytest.mark.parametrize("variable", ["xi", "m", "mlin"])
     def test_mapped_tabulation_equals_scalar_bitwise(self, variable):
-        density = {"xi": pdf_xi, "m": pdf_m, "mlin": pdf_mlin}[variable]
+        density = {"xi": xi_density, "m": m_density, "mlin": mlin_density}[variable]
         curve = tabulate_pdf(variable, num_points=300, tol=1e-10)
         scalars = [density(2.0, float(x), tol=1e-10) for x in curve.abscissas]
         assert np.array_equal(curve.densities, scalars)

@@ -256,6 +256,16 @@ class TestBuildHistogram:
         assert h.counts.tolist() == [1]
         assert (h.n_below, h.n_above) == (1, 1)
 
+    # a NaN falls in no bin and is neither below nor above, yet counts in total_samples
+    @pytest.mark.parametrize("samples, message", [
+        (lambda: np.array([0.1, np.nan, 0.7]), "^1 of 3 samples are not finite$"),
+        (lambda: iter([np.array([0.1, 0.7]), [np.nan, 0.2, np.inf]]),
+         "^2 of 3 samples are not finite$"),
+    ], ids=["array", "chunk_stream"])
+    def test_non_finite_samples_refused(self, samples, message):
+        with pytest.raises(ValueError, match=message):
+            build_histogram(samples(), [0.0, 0.5, 1.0])
+
     def test_bad_edges(self):
         # a bin narrower than 1 / (largest float) would have an infinite density
         for edges in ([0.0, 0.0, 1.0], [np.nan, 1.0], [0.0, np.inf], [0.0, 2.2e-309]):

@@ -143,3 +143,15 @@ def test_a_log_plot_without_a_positive_value_spans_the_floor_to_one(ys):
     # the y range falls back to [0, 1.06]; on the log axis 0 sits at the 1e-12 floor
     y_labels = re.findall(r'text-anchor="end">([^<]*)</text>', svg)
     assert y_labels == ["1e-10", "3.16228e-08", "1e-05", "0.00316228", "1"]
+
+
+# one abscissa, or every positive value under the 1e-12 floor of a log axis: the
+# frame widens the empty range to one unit, as the ticks do
+@pytest.mark.parametrize("xs, ys, log_y, widened", [
+    ([0.5], [1.0], False, ((0.5, 1.5), (0.0, 1.06))),
+    ([0.1, 0.2], [1e-13, 2e-13], True, ((0.1, 0.2), (1e-12, 1e-11))),
+], ids=["one_abscissa", "under_the_log_floor"])
+def test_an_empty_plot_range_spans_one_unit(xs, ys, log_y, widened):
+    svg = svgplot.plot_svg([(np.array(xs), np.array(ys), "#000", "line")], log_y=log_y)
+    frame = svgplot._Frame(*widened, log_y)
+    assert reference_polyline(frame, xs, ys, "#000") in svg.splitlines()
