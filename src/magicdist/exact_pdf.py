@@ -60,7 +60,7 @@ from functools import lru_cache, partial
 
 import numpy as np
 
-from .errors import InvalidSpectrum, ResourceLimit, SingularPoint
+from .errors import InvalidOrder, InvalidSpectrum, ResourceLimit, SingularPoint
 from .bessel import j0
 from .pauli_spectrum import MOMENT_MEASURES, canonical_measure, check_order, measure_from_n
 from .pauli_spectrum import n_from_measure, support_for
@@ -601,6 +601,18 @@ def _tangent_hessian_eigs(vec: np.ndarray, alpha: float) -> np.ndarray:
     return np.linalg.eigvalsh(tangent.T @ lagr @ tangent)
 
 
+def _hessian_zero(alpha: float) -> float:
+    """Size below which a scaled tangent eigenvalue has no certain sign.
+
+    Every entry of the scaled matrix is at most 2 alpha - 1 in size, and
+    the eigenvalues at the 26 points came within 1.7 eps (2 alpha - 1) of
+    their exact values (-1, -1 at the maxima; -1, 2 (alpha - 1) at the
+    saddles; 2 (alpha - 1) twice at the minima) over 2000 orders from
+    1 + 2.2e-16 to 1e4 and up to 1e300; the bound leaves a factor of ten.
+    """
+    return 16.0 * np.finfo(float).eps * (2.0 * alpha - 1.0)
+
+
 def _check_critical(vec: np.ndarray, label: str, alpha: float) -> float:
     """Norm of the projected gradient at ``vec`` after checking that ``vec``
     is a critical point of class ``label``; ArithmeticError otherwise.
@@ -610,13 +622,13 @@ def _check_critical(vec: np.ndarray, label: str, alpha: float) -> float:
     Hessian's scale family): unscaled, it shrinks like m^(2 alpha - 1), and
     a point 1e-3 off a saddle would pass an absolute test from alpha ~ 35
     on.  The Hessian signature counts an eigenvalue's sign when it exceeds
-    1e-8 of the largest in size.
+    ``_hessian_zero(alpha)`` in size.
     """
     grad = float(np.linalg.norm(_projected_gradient(vec, alpha)))
     m = float(np.max(np.abs(vec)))
     relative = float(np.linalg.norm(_projected_gradient(vec, alpha, m))) / (2.0 * alpha)
     eigs = _tangent_hessian_eigs(vec, alpha)
-    zero = 1e-8 * np.max(np.abs(eigs))
+    zero = _hessian_zero(alpha)
     pos = int(np.sum(eigs > zero))
     neg = int(np.sum(eigs < -zero))
     if neg == 2 and pos == 0:
@@ -640,8 +652,14 @@ def critical_points(alpha: float) -> list[CriticalPoint]:
     (minima, value 3^(1-alpha)).  Each point is checked numerically:
     projected gradient below 1e-10 and tangent Hessian signature matching
     its class (``_check_critical``).  A failed check raises ArithmeticError.
+    An order so close to 1 that the saddles' positive curvature 2 (alpha - 1)
+    is under the rounding of the Hessian (``_hessian_zero``, alpha - 1 below
+    about 1.8e-15) has no classification, and raises InvalidOrder.
     """
     check_order(alpha)
+    if 2.0 * (alpha - 1.0) <= _hessian_zero(alpha):
+        raise InvalidOrder(f"alpha = {alpha!r} is too close to 1 to classify the saddles: "
+                           f"their curvature 2 (alpha - 1) is under the Hessian's rounding")
     vectors: list[tuple[np.ndarray, str, int]] = []
     for axis in range(3):
         for s in (1.0, -1.0):

@@ -504,12 +504,22 @@ def coherence_l1(s: PureState) -> float:
 def hermitian_observable(obs, dim: int) -> np.ndarray:
     """The Hermitian part (A + A^dagger)/2 of ``obs`` as a complex (dim, dim)
     array, after checking that A is Hermitian within 1e-10; an exactly
-    Hermitian A comes back to the bit."""
+    Hermitian A comes back to the bit.
+
+    The real and imaginary parts of every entry must be at most
+    ``finfo(float).max / (4 dim)`` in size.  Then A + A^dagger stays finite,
+    and so does every <psi|A|psi>, eigenvalue and eigenvalue span, each at
+    most 2 sqrt(2) dim times that bound; the sampler's bins span the
+    eigenvalues."""
     a = np.asarray(obs, dtype=np.complex128)
     if a.shape != (dim, dim):
         raise DimensionMismatch(f"observable shape {a.shape} does not match d={dim}")
     if not np.all(np.isfinite(a)):
         raise InvalidObservable("observable entries must be finite")
+    bound = np.finfo(float).max / (4 * dim)
+    if max(np.max(np.abs(a.real)), np.max(np.abs(a.imag))) > bound:
+        raise InvalidObservable(f"observable entries need real and imaginary parts of at most "
+                                f"{bound:.6g} in size at d={dim}")
     if np.max(np.abs(a - a.conj().T)) > 1e-10:
         raise InvalidObservable("observable is not Hermitian within 1e-10")
     return (a + a.conj().T) / 2

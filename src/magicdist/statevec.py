@@ -4,8 +4,10 @@ Random sampling is built on the counter-based Philox4x64 bit generator keyed
 by the pair (seed, stream_id): identical pairs reproduce identical sample
 sequences bit for bit, distinct stream ids give independent streams, so a
 parallel harness partitions stream ids instead of sharing generator state.
-A Haar sample is a vector of 2d independent standard Gaussians assembled
-into d complex entries and normalized; no fiducial state enters anywhere.
+A Haar qubit is drawn from two uniforms, |a0|^2 and the relative phase; a
+Haar sample of dimension d >= 3 is a vector of 2d independent standard
+Gaussians assembled into d complex entries and normalized.  No fiducial
+state enters anywhere.
 """
 from __future__ import annotations
 
@@ -129,43 +131,56 @@ def state_from_amplitudes(values, local_dim: int = 2) -> PureState:
 def haar_block(d: int, rng, count: int) -> np.ndarray:
     """Draw ``count`` Haar-random states as the rows of a (count, d) array.
 
-    Row i is assembled from entries [2di, 2d(i+1)) of the stream, so the
-    first row coincides with ``haar_sample`` on the same stream.
+    Row i reads only its own entries of the stream, so the first rows of a
+    block coincide with a shorter block, and its first row with
+    ``haar_sample``, on the same stream.
 
-    The bits are those of ``x / np.linalg.norm(x, axis=1, keepdims=True)``
-    on ``x = raw[:, :d] + 1j * raw[:, d:]``, which the seeded outputs are
+    A qubit (d = 2) takes two uniforms (u, v), entries [2i, 2i + 2) of
+    ``g.random((count, 2))``, and is ``(sqrt(u), sqrt(1 - u) e^{i phi})``
+    with ``phi = 2 pi v - pi``.  That is Haar-random because ``|a0|^2`` is
+    uniform on [0, 1] and the relative phase is uniform and independent of
+    it (Archimedes' hat-box theorem); the global phase, which no measure
+    reads, is fixed by a real ``a0 >= 0``.  cos phi and sin phi come from
+    one ``t = tan(phi / 2)`` by the half-angle formulas
+    ``(1 - t^2) / (1 + t^2)`` and ``2t / (1 + t^2)``: ``np.tan`` costs
+    about a sixth of ``np.cos`` plus ``np.sin`` (9 against 25 + 28 us per
+    4096 values, one thread of a 2-core Xeon), and its last bits follow
+    numpy's SIMD dispatch, as ``np.log`` in the M path already does.
+    Every row has unit norm within a few ulps.  The block is built
+    plane-major, as a contiguous (2, count) array whose transpose is
+    returned, so the one-qubit kernel reads each amplitude as a contiguous
+    column.
+
+    Every d >= 3 takes 2d standard normals per row, entries
+    [2di, 2d(i+1)) of the stream, and normalizes them as d complex
+    entries.  The bits are those of
+    ``x / np.linalg.norm(x, axis=1, keepdims=True)`` on
+    ``x = raw[:, :d] + 1j * raw[:, d:]``, which the seeded outputs are
     pinned to.  Two steps keep them: the squared norm stays the complex
     product ``conj(x) * x``, whose real part numpy forms as
     ``fma(re, re, im * im)`` (``re * re + im * im`` differs in the last
     bit), and the scale multiplies the float view by ``1.0 / norms``,
     which is what numpy's complex-by-real division (Smith's method) does
-    (a real ``/ norms`` rounds differently).
-
-    At d = 2 the block is built plane-major, as a contiguous (2, count)
-    array, and its transpose is returned: the same values and the same
-    ``tobytes()``, but every step runs over vectors of length ``count``
-    instead of numpy inner loops of length 2-4 once per row, and the
-    one-qubit kernel reads each amplitude as a contiguous column.  The
-    norm adds the two planes in order, which is the row ``add.reduce``
-    for d < 8 only; and already at d = 4 the Pauli moment kernel runs
-    slower on column-major input (2.40 against 2.15 ms per 4096 states,
-    one thread of a 2-core Xeon), so every d >= 3 keeps the row layout.
+    (a real ``/ norms`` rounds differently).  These blocks keep the row
+    layout: already at d = 4 the Pauli moment kernel runs slower on
+    column-major input (2.40 against 2.15 ms per 4096 states, one thread
+    of a 2-core Xeon).
     """
     if d < 2:
         raise InvalidDimension(f"need d >= 2, got {d}")
     g = _as_generator(rng)
-    raw = g.standard_normal((count, 2 * d))
     if d == 2:
-        planes = np.empty((2, count), dtype=np.complex128)
-        planes.real[...] = raw[:, :2].T
-        planes.imag[...] = raw[:, 2:].T
-        sq = (planes.conj() * planes).real
-        norms = np.sqrt(sq[0] + sq[1])
-        np.maximum(norms, 1e-300, out=norms)
-        np.divide(1.0, norms, out=norms)
-        planes.real[...] *= norms
-        planes.imag[...] *= norms
+        u, v = g.random((count, 2)).T
+        planes = np.zeros((2, count), dtype=np.complex128)
+        np.sqrt(u, out=planes.real[0])
+        t = np.tan(np.pi * v - np.pi / 2)  # pi v - pi / 2 is phi / 2 to the bit
+        rest = np.sqrt(1.0 - u)
+        t2 = np.square(t)
+        rest /= 1.0 + t2
+        np.multiply(rest, 1.0 - t2, out=planes.real[1])
+        np.multiply(rest, 2.0 * t, out=planes.imag[1])
         return planes.T
+    raw = g.standard_normal((count, 2 * d))
     states = np.empty((count, d), dtype=np.complex128)
     states.real[...] = raw[:, :d]
     states.imag[...] = raw[:, d:]

@@ -266,16 +266,27 @@ class TestCriticalPoints:
             exact_pdf._check_critical(saddle * math.cos(1e-3) + along * math.sin(1e-3),
                                       "C2_saddle", alpha)
 
-    @pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.0 + 1e-13])
-    def test_a_saddle_too_flat_to_classify_is_refused(self, alpha):
-        # the saddle's positive tangent eigenvalue, 2 (alpha - 1) against -1, falls
-        # under the 1e-8 relative zero: the signature reads degenerate, and the
-        # classification refuses rather than names a class
-        with pytest.raises(ArithmeticError, match="classification failed"):
-            critical_points(alpha)
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.0 + 1e-14])
+    def test_a_nearly_flat_saddle_is_classified(self, alpha):
+        # the saddle's positive tangent eigenvalue is 2 (alpha - 1) against -1, and
+        # the minimum's are 2 (alpha - 1) twice: far under 1e-8 of the largest, yet
+        # their signs are resolved, because the zero is tied to rounding
+        pts = critical_points(alpha)
+        classes = [p.class_label for p in pts]
+        assert {c: classes.count(c) for c in set(classes)} == {
+            "C1_max": 6, "C2_saddle": 12, "C3_min": 8}
         saddle = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
         eigs = exact_pdf._tangent_hessian_eigs(saddle, alpha)
-        assert eigs.min() == pytest.approx(-1.0) and 0.0 < eigs.max() < 1e-8
+        assert eigs.min() == pytest.approx(-1.0)
+        assert abs(eigs.max() - 2.0 * (alpha - 1.0)) < exact_pdf._hessian_zero(alpha)
+
+    @pytest.mark.parametrize("alpha", [1.0 + 1e-15, 1.0 + 2**-52])
+    def test_a_saddle_too_flat_to_classify_is_refused(self, alpha):
+        # 2 (alpha - 1) under the Hessian's rounding: refused as an order, before
+        # any point is classified
+        assert 2.0 * (alpha - 1.0) <= exact_pdf._hessian_zero(alpha)
+        with pytest.raises(InvalidOrder, match="too close to 1"):
+            critical_points(alpha)
 
     def test_saddle_values(self):
         assert n_critical(2.0) == pytest.approx(0.5)

@@ -327,6 +327,19 @@ class TestHistogramMeasure:
         with pytest.raises(InvalidObservable, match="finite"):
             histogram_measure("observable", 2.0, 2, 1, 100, 0, [-1.0, 0.0, 1.0], observable=obs)
 
+    @pytest.mark.parametrize("edges", [4, [-1.0, 0.0, 1.0]], ids=["bin_count", "edges"])
+    def test_an_observable_too_large_to_sum_is_refused_before_any_draw(self, monkeypatch, edges):
+        # A + A^dagger and the eigenvalue span would overflow: the same refusal as expectation
+        def refuse(*args):
+            raise AssertionError("drew a state before refusing the observable")
+
+        monkeypatch.setattr(montecarlo, "haar_block", refuse)
+        obs = np.diag([1e308, -1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidObservable, match="at most"):
+                histogram_measure("observable", 2.0, 2, 1, 10, 0, edges, observable=obs)
+
     def test_windowed_histogram_counts_not_raises(self):
         edges = np.linspace(0.45, 0.55, 21)
         with warnings.catch_warnings(record=True) as caught:

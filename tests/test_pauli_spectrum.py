@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -579,6 +580,25 @@ class TestCoherenceAndExpectation:
         obs = np.array([[bad, 0], [0, 1]], dtype=complex)
         with pytest.raises(InvalidObservable, match="finite"):
             expectation(haar_sample(2, SeededRng(0)), obs)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_an_observable_too_large_to_sum_is_refused(self, d):
+        # (A + A^dagger) / 2 overflowed to nan above about 9e307; up to the bound
+        # every expectation stays finite, with no warning
+        bound = np.finfo(float).max / (4 * d)
+        state = haar_sample(d, SeededRng(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidObservable, match="at most"):
+                expectation(state, np.diag([1e308] + [-1e308] * (d - 1)))
+            with pytest.raises(InvalidObservable, match="at most"):
+                expectation(state, np.diag([np.nextafter(bound, np.inf)] + [0.0] * (d - 1)))
+            edge = bound * (np.ones((d, d)) + 1j * (np.triu(np.ones((d, d)), 1)
+                                                    - np.tril(np.ones((d, d)), -1)))
+            assert np.isfinite(expectation(state, edge))
+            strided = np.zeros((d, 2 * d), dtype=complex)  # no contiguous last axis
+            strided[:, ::2] = edge
+            assert expectation(state, strided[:, ::2]) == expectation(state, edge)
 
 
 @pytest.mark.parametrize("call, error, match", [

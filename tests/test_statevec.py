@@ -23,6 +23,16 @@ from magicdist.statevec import register_shape
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
+class ZeroStream(np.random.Generator):
+    """A stream whose normals and uniforms are all zero."""
+
+    def standard_normal(self, size=None, dtype=np.float64, out=None):
+        return np.zeros(size, dtype=dtype)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        return np.zeros(size, dtype=dtype)
+
+
 class TestSeededRng:
     def test_reproducible(self):
         a = SeededRng(123, 7).generator().standard_normal(32)
@@ -113,27 +123,79 @@ class TestHaarSample:
                                           (4, 4096), (7, 1000), (8, 1000), (64, 300),
                                           (1024, 20)])
     def test_block_is_pinned_bit_for_bit(self, d, count):
-        # the seeded outputs are pinned to this expression, last bits included
+        # the seeded outputs are pinned to these expressions, last bits included
         for stream in range(3):
-            raw = SeededRng(17, stream).generator().standard_normal((count, 2 * d))
-            states = raw[:, :d] + 1j * raw[:, d:]
-            norms = np.linalg.norm(states, axis=1, keepdims=True)
-            np.maximum(norms, 1e-300, out=norms)
-            states /= norms
+            g = SeededRng(17, stream).generator()
+            if d == 2:
+                u, v = g.random((count, 2)).T
+                t = np.tan(np.pi * v - np.pi / 2)  # tan(phi / 2), phi = 2 pi v - pi
+                scale = np.sqrt(1.0 - u) / (1.0 + t * t)
+                states = np.zeros((count, 2), dtype=np.complex128)
+                states[:, 0].real[...] = np.sqrt(u)
+                states[:, 1].real[...] = scale * (1.0 - t * t)
+                states[:, 1].imag[...] = scale * (2.0 * t)
+            else:
+                raw = g.standard_normal((count, 2 * d))
+                states = raw[:, :d] + 1j * raw[:, d:]
+                norms = np.linalg.norm(states, axis=1, keepdims=True)
+                np.maximum(norms, 1e-300, out=norms)
+                states /= norms
             got = haar_block(d, SeededRng(17, stream), count)
             assert got.dtype == np.complex128 and got.shape == (count, d)
             assert got.T.flags.c_contiguous == (d == 2)  # plane-major at d = 2 only
             assert got.tobytes() == states.tobytes()
 
-    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("d", [3, 8])
     def test_zero_stream_gives_zero_rows(self, d):
-        class ZeroStream(np.random.Generator):
-            def standard_normal(self, size=None, dtype=np.float64, out=None):
-                return np.zeros(size, dtype=dtype)
-
         states = haar_block(d, ZeroStream(np.random.PCG64(0)), 5)
         assert states.shape == (5, d)
         assert np.all(states == 0)
+
+    def test_zero_uniforms_give_finite_unit_qubits(self):
+        # u = v = 0 is |a0|^2 = 0 at phi = -pi, where tan(phi / 2) is at its pole
+        states = haar_block(2, ZeroStream(np.random.PCG64(0)), 5)
+        assert states.shape == (5, 2)
+        assert np.all(np.isfinite(states))
+        assert np.all(np.abs(np.sum(np.abs(states) ** 2, axis=1) - 1.0) <= 2e-15)
+        assert np.all(states[:, 0] == 0)
+
+    @pytest.mark.parametrize("k", [1, 5, 4095])
+    def test_qubit_block_is_a_prefix_of_a_longer_one(self, k):
+        longer = haar_block(2, SeededRng(8, 1), 4096)
+        assert haar_block(2, SeededRng(8, 1), k).tobytes() == longer[:k].tobytes()
+
+    def test_qubit_rows_have_unit_norm(self):
+        blk = haar_block(2, SeededRng(13), 1_000_000)
+        norms = blk.real**2 + blk.imag**2
+        assert np.max(np.abs(norms[:, 0] + norms[:, 1] - 1.0)) <= 2e-15
+
+    def test_qubit_azimuth_is_uniform(self):
+        from scipy.stats import kstest
+
+        n = 1_000_000
+        blk = haar_block(2, SeededRng(29), n)
+        azimuth = np.angle(np.conj(blk[:, 0]) * blk[:, 1])
+        stat = kstest(azimuth, "uniform", args=(-np.pi, 2 * np.pi)).statistic
+        assert stat < 1.628 / np.sqrt(n)  # 99% critical value
+
+    def test_qubit_azimuth_is_independent_of_n3(self):
+        from scipy.stats import chi2_contingency
+
+        blk = haar_block(2, SeededRng(31), 400_000)
+        azimuth = np.angle(np.conj(blk[:, 0]) * blk[:, 1])
+        n3 = np.abs(blk[:, 0]) ** 2 - np.abs(blk[:, 1]) ** 2
+        table, _, _ = np.histogram2d(azimuth, n3, bins=8,
+                                     range=[[-np.pi, np.pi], [-1.0, 1.0]])
+        assert chi2_contingency(table).pvalue > 0.01
+
+    def test_qubit_mean_n2_is_three_fifths(self):
+        from magicdist import haar_moments_n2
+        from magicdist.pauli_spectrum import pauli_moment_batch
+
+        n = 400_000
+        variance = float(haar_moments_n2(1)[1])
+        n2 = pauli_moment_batch(haar_block(2, SeededRng(37), n), 2.0)
+        assert abs(n2.mean() - 3 / 5) / np.sqrt(variance / n) < 3.0
 
     def test_block_first_row_matches_single(self):
         rng = SeededRng(42, 3)
