@@ -258,7 +258,7 @@ def cmd_fit_divergence(args) -> int:
         return 0
     # geometric bins around the center keep the ln regressor well conditioned
     wings = np.geomspace(window[0] / 2, window[1] * 2, args.bins_per_side + 1)
-    edges = np.unique(np.concatenate([center - wings, center + wings]))
+    edges = exact_pdf.sorted_unique(np.concatenate([center - wings, center + wings]))
     SeededRng(args.seed + 1)  # the bootstrap's stream, refused before the draw
     hist = montecarlo.histogram_measure("n", args.alpha, 2, 1, args.samples, args.seed, edges,
                                         threads=args.threads)

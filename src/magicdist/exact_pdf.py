@@ -19,7 +19,7 @@ that every near-singularity of the integrand as n -> 1/2 (a root just
 beyond an end, or that peak) sits at the end of a segment.
 
 One engine evaluates the density for an array of n.  Each segment is
-integrated in t by composite 12-node Gauss-Legendre panels, graded
+integrated in t by composite 8-node Gauss-Legendre panels, graded
 geometrically toward both ends as deep as its closest root or peak needs
 (``_graded_depth``).  ``_refine`` certifies the rule against the refined
 mesh (every panel halved plus one more graded layer): a segment is
@@ -48,8 +48,9 @@ doubles the panels up to ``_MAX_PANELS`` in ``_refine``, the loop that
 certifies the density too.
 
 Importing this module loads no scipy, and neither does ``mean_sre_exact``:
-the 12-node rule is stored as literals.  Only chi(k) imports scipy.special,
-on its first call, for its 32-node rule and J0 (``bessel.j0``).
+the 8- and 12-node rules are stored as literals.  Only chi(k) imports
+scipy.special, on its first call, for its 32-node rule and J0
+(``bessel.j0``).
 """
 from __future__ import annotations
 
@@ -75,11 +76,9 @@ MAX_POINTS = 2**20  # most base-grid points a tabulation accepts
 _CHI_K_PER_PANEL = 16.0
 _MAX_PANELS = 2**13  # most panels ``quad`` refines to, for chi(k) and the mean of M_2
 
-# N_2 density: 12-node Gauss-Legendre panels on meshes graded toward both
-# ends of each segment in the sin^2 variable (see ``_graded_rule``), at
-# most _PDF_MAX_DEPTH layers deep before refinement, refined at most
-# _PDF_MAX_LEVEL times.  The rule is scipy's roots_legendre(12) mapped to
-# [0, 1] by (x + 1)/2 and w/2, kept bit for bit as literals
+# Gauss-Legendre rules on [0, 1]: scipy's roots_legendre(n) mapped by
+# (x + 1)/2 and w/2, kept bit for bit as literals.  The 12-node rule is
+# ``mean_sre_exact``'s, whose value it pins
 _PANEL_NODES = np.array([
     0.009219682876640378, 0.047941371814762546, 0.11504866290284765, 0.20634102285669126,
     0.31608425050090994, 0.4373832957442655, 0.5626167042557345, 0.6839157494990901,
@@ -90,6 +89,19 @@ _PANEL_WEIGHTS = np.array([
     0.11674626826917735, 0.1245735229067013, 0.1245735229067013, 0.11674626826917735,
     0.10158371336153287, 0.08003916427167304, 0.05346966299765891, 0.023587668193256594,
 ])
+# N_2 density: 8-node panels on meshes graded toward both ends of each
+# segment in the sin^2 variable (see ``_graded_rule``), at most
+# _PDF_MAX_DEPTH layers deep before refinement, refined at most
+# _PDF_MAX_LEVEL times.  Eight nodes are enough for a 1500-point
+# tabulation at tol 1e-9 to certify every row at the first refinement
+_PDF_NODES = np.array([
+    0.019855071751231856, 0.10166676129318664, 0.2372337950418355, 0.40828267875217505,
+    0.591717321247825, 0.7627662049581645, 0.8983332387068134, 0.9801449282487682,
+])
+_PDF_WEIGHTS = np.array([
+    0.05061426814518781, 0.11119051722668737, 0.1568533229389438, 0.18134189168918102,
+    0.18134189168918102, 0.1568533229389438, 0.11119051722668737, 0.05061426814518781,
+])
 _PDF_MAX_DEPTH = 48
 _PDF_MAX_LEVEL = 6
 # nodes per numpy pass; bounds each of the four block buffers to 128 KiB
@@ -99,6 +111,15 @@ _PDF_BLOCK_NODES = 2**14
 def _check_tol(tol: float):
     if not _TOL_RANGE[0] <= tol <= _TOL_RANGE[1]:
         raise ValueError(f"tol must lie in {_TOL_RANGE}, got {tol!r}")
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of a finite array, as ``np.unique`` returns
+    them, without loading ``numpy.ma``, which ``np.unique`` imports on first use."""
+    a = np.sort(a, axis=None)
+    first = np.ones(a.shape, dtype=bool)
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
 
 
 def n_critical(alpha: float) -> float:
@@ -236,25 +257,34 @@ _SEGMENTS = {
 
 
 @lru_cache(maxsize=64)
-def _graded_rule(depth: int, level: int):
-    """sin t, cos t and the weights of one composite rule on [0, pi/2].
+def _graded_rule(depth: int, level: int, left_root: bool, right_root: bool):
+    """sin^2 t, cos^2 t and the weights of one composite 8-node rule on
+    [0, pi/2], for a segment with the given root ends.
 
     In s = 2t/pi the half [0, 1/2] is cut geometrically toward 0 at
     s = 2^-(j+1), j = 0..depth+level-1, and every one of those panels is
     cut into 2^level equal ones; the other half is the mirror image, so the
     nodes near t = pi/2 are pi/2 - t and their sine and cosine swap.
     Depth 0, level 0 is the mesh [0, 1/2, 1]; each level halves every
-    panel and adds one graded layer at each end.
+    panel and adds one graded layer at each end.  Each weight carries the
+    factor 2 of dx = 2 span sin t cos t dt, and the sin t (cos t) that a
+    left (right) end that is not a root leaves in the integrand; the
+    sqrt(span) that comes with it is the caller's, per row.
     """
     geo = np.concatenate([[0.0], 0.5 ** np.arange(depth + level + 1, 0, -1)])
     sub = np.arange(2**level) / 2**level
     edges = np.append((geo[:-1, None] + np.diff(geo)[:, None] * sub).ravel(), 0.5)
     widths = np.diff(edges)
-    t = (math.pi / 2.0) * (edges[:-1, None] + widths[:, None] * _PANEL_NODES).ravel()
-    weights = (math.pi / 2.0) * (widths[:, None] * _PANEL_WEIGHTS).ravel()
+    t = (math.pi / 2.0) * (edges[:-1, None] + widths[:, None] * _PDF_NODES).ravel()
+    weights = (math.pi / 2.0) * (widths[:, None] * _PDF_WEIGHTS).ravel()
     sin_t, cos_t = np.sin(t), np.cos(t)
-    rule = (np.concatenate([sin_t, cos_t]), np.concatenate([cos_t, sin_t]),
-            np.concatenate([weights, weights]))
+    sin_t, cos_t = np.concatenate([sin_t, cos_t]), np.concatenate([cos_t, sin_t])
+    weights = 2.0 * np.concatenate([weights, weights])
+    if not left_root:
+        weights *= sin_t
+    if not right_root:
+        weights *= cos_t
+    rule = (sin_t * sin_t, cos_t * cos_t, weights)
     for a in rule:  # shared by every caller through the cache
         a.setflags(write=False)
     return rule
@@ -284,11 +314,11 @@ def _graded_quadrature(depth: int, level: int, segment, tasks: np.ndarray) -> np
     root ends exactly (x - lo = span sin^2 t, hi - x = span cos^2 t), so the
     integrand in t is smooth wherever the radicand is positive; where it is
     not, the node contributes 0.  Rows go through in blocks of about
-    ``_PDF_BLOCK_NODES`` nodes, every block in the same four buffers.
+    ``_PDF_BLOCK_NODES`` nodes, every block in the same four buffers, and
+    each row is reduced on its own, so its value does not depend on its block.
     """
     rest, left_root, right_root, reads_dr = segment
-    sin_t, cos_t, weights = _graded_rule(depth, level)
-    sin2, cos2 = sin_t * sin_t, cos_t * cos_t
+    sin2, cos2, weights = _graded_rule(depth, level, left_root, right_root)
     rows = max(1, _PDF_BLOCK_NODES // weights.size)
     out = np.empty(len(tasks))
     buffers = np.empty((4, min(rows, len(tasks)), weights.size))
@@ -302,15 +332,10 @@ def _graded_quadrature(depth: int, level: int, segment, tasks: np.ndarray) -> np
         rest(consts, x, d, g, tmp)
         # NaN and negative radicands become 0, whose node the division skips
         np.sqrt(np.fmax(g, 0.0, out=g), out=g)
-        num = 2.0
-        if not left_root:
-            num = np.multiply(num * np.sqrt(span), sin_t, out=tmp)
-        if not right_root:
-            num = np.multiply(num * np.sqrt(span), cos_t, out=tmp)
-        np.divide(num, g, out=g, where=g > 0.0)
-        g *= weights
-        out[start:start + len(block)] = g.sum(axis=1)
-    return out
+        np.divide(1.0, g, out=g, where=g > 0.0)
+        out[start:start + len(block)] = np.einsum("ij,j->i", g, weights)
+    # sqrt(span) for each end that is not a root
+    return out * np.sqrt(tasks[:, 1]) ** (2 - left_root - right_root)
 
 
 def _refine(rule, tol: np.ndarray, max_level: int, failure):
@@ -370,7 +395,7 @@ def _pdf_n2(n: np.ndarray, tol: np.ndarray):
         task_tol = seg_tol[point]
         # each depth's rule certified by ``_refine``; a point is in one group
         # only, so every point's sums into total keep the segment order
-        for d in np.unique(depth):
+        for d in sorted_unique(depth):
             group = np.flatnonzero(depth == d)
             val, err = _refine(
                 lambda level, rows: _graded_quadrature(d, level, record, tasks[group[rows]]),
@@ -654,12 +679,17 @@ def critical_points(alpha: float) -> list[CriticalPoint]:
     its class (``_check_critical``).  A failed check raises ArithmeticError.
     An order so close to 1 that the saddles' positive curvature 2 (alpha - 1)
     is under the rounding of the Hessian (``_hessian_zero``, alpha - 1 below
-    about 1.8e-15) has no classification, and raises InvalidOrder.
+    about 1.8e-15), or so large that the maxima's curvature -1 is (alpha
+    from about 1.4e14 on), has no classification, and raises InvalidOrder.
     """
     check_order(alpha)
-    if 2.0 * (alpha - 1.0) <= _hessian_zero(alpha):
+    zero = _hessian_zero(alpha)
+    if 2.0 * (alpha - 1.0) <= zero:
         raise InvalidOrder(f"alpha = {alpha!r} is too close to 1 to classify the saddles: "
                            f"their curvature 2 (alpha - 1) is under the Hessian's rounding")
+    if zero >= 1.0:
+        raise InvalidOrder(f"alpha = {alpha!r} is too large to classify the maxima: "
+                           f"their curvature -1 is under the Hessian's rounding")
     vectors: list[tuple[np.ndarray, str, int]] = []
     for axis in range(3):
         for s in (1.0, -1.0):
@@ -757,7 +787,7 @@ def _refined_grid(lo: float, hi: float, singulars, num_points: int, guard: float
         wings = np.geomspace(guard, span, num_points // 8)
         pieces.append(c - wings)
         pieces.append(c + wings)
-    grid = np.unique(np.concatenate(pieces))
+    grid = sorted_unique(np.concatenate(pieces))
     grid = grid[(grid >= lo) & (grid <= hi)]
     keep = np.ones(grid.size, dtype=bool)
     for c in singulars:

@@ -509,6 +509,17 @@ class TestCriticalPoints:
         assert {c: classes.count(c) for c in set(classes)} == {
             "C1_max": 6, "C2_saddle": 12, "C3_min": 8}
 
+    def test_an_order_too_large_to_classify_exits_3(self, capsys):
+        for alpha in ("2e14", "1e300"):
+            assert main(["critical-points", "--alpha", alpha]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert "too large to classify" in captured.err
+        code, out = run_cli(capsys, "critical-points", "--alpha", "1e13")
+        assert code == 0
+        assert len(json.loads(out)["points"]) == 26
+
     def test_numerical_failure_exit_1(self, capsys, monkeypatch):
         def failing(alpha):
             raise ArithmeticError("classification failed")

@@ -74,6 +74,11 @@ class TestPdfN2:
     def test_reference_values(self, n, ref):
         assert pdf_n2_exact(n, tol=1e-11) == pytest.approx(ref, abs=1e-10)
 
+    @pytest.mark.parametrize("n,ref", PDF_N2_REFS)
+    def test_reference_values_at_the_default_tol(self, n, ref):
+        # the 8-node panels certify at level 1 here, far inside the budget
+        assert pdf_n2_exact(n, tol=1e-9) == pytest.approx(ref, rel=1e-14)
+
     def test_zero_outside_support(self):
         for n in (1.0 / 3.0 - 1e-3, 1.0 + 1e-12, 0.2, 1.2, float("nan")):
             assert pdf_n2_exact(n) == 0.0
@@ -97,7 +102,7 @@ class TestPdfN2:
         sp = err.value
         # _mapped_density's remap at "n" (Jacobian 1) keeps the engine's model to the bit
         assert (sp.location, sp.log_slope, sp.log_intercept) == (
-            0.5, DIVERGENCE_SLOPE_N2, 0.11472230142428819)
+            0.5, DIVERGENCE_SLOPE_N2, 0.11472230142428841)
         for eps in (1e-5, 1e-6, 1e-7):
             model = -sp.log_slope * math.log(eps) + sp.log_intercept
             assert pdf_n2_exact(0.5 + eps, tol=1e-11) == pytest.approx(model, abs=2e-4)
@@ -280,6 +285,20 @@ class TestCriticalPoints:
         assert eigs.min() == pytest.approx(-1.0)
         assert abs(eigs.max() - 2.0 * (alpha - 1.0)) < exact_pdf._hessian_zero(alpha)
 
+    @pytest.mark.parametrize("alpha", [2e14, 1e15, 1e300])
+    def test_a_maximum_too_flat_to_classify_is_refused(self, alpha):
+        # the maxima's curvature -1 is under the Hessian's rounding from about
+        # alpha = 1.4e14 on: refused as an order, not a failed classification
+        assert exact_pdf._hessian_zero(alpha) >= 1.0
+        with pytest.raises(InvalidOrder, match="too large"):
+            critical_points(alpha)
+
+    def test_the_largest_classified_orders(self):
+        for alpha in (1e13, 1.4e14):
+            classes = [p.class_label for p in critical_points(alpha)]
+            assert {c: classes.count(c) for c in set(classes)} == {
+                "C1_max": 6, "C2_saddle": 12, "C3_min": 8}
+
     @pytest.mark.parametrize("alpha", [1.0 + 1e-15, 1.0 + 2**-52])
     def test_a_saddle_too_flat_to_classify_is_refused(self, alpha):
         # 2 (alpha - 1) under the Hessian's rounding: refused as an order, before
@@ -328,6 +347,11 @@ class TestGaussLegendreRules:
         nodes, weights = self._mapped(12)
         assert exact_pdf._PANEL_NODES.tobytes() == nodes.tobytes()
         assert exact_pdf._PANEL_WEIGHTS.tobytes() == weights.tobytes()
+
+    def test_density_rule(self):
+        nodes, weights = self._mapped(8)
+        assert exact_pdf._PDF_NODES.tobytes() == nodes.tobytes()
+        assert exact_pdf._PDF_WEIGHTS.tobytes() == weights.tobytes()
 
     def test_chi_rule(self):
         nodes, weights = self._mapped(32)
@@ -622,6 +646,34 @@ class TestDensityEngine:
         curve = tabulate_pdf(variable, num_points=300, tol=1e-10)
         scalars = [density(2.0, float(x), tol=1e-10) for x in curve.abscissas]
         assert np.array_equal(curve.densities, scalars)
+
+    def test_rows_straddling_a_block_equal_their_scalar_calls(self, monkeypatch):
+        # a block of 2^10 nodes holds 16 rows of the depth-0, level-1 rule
+        # and 1 of the deepest, so most depth groups span several blocks
+        monkeypatch.setattr(exact_pdf, "_PDF_BLOCK_NODES", 2**10)
+        straddled = []
+        quadrature = exact_pdf._graded_quadrature
+
+        def spy(depth, level, segment, tasks):
+            size = exact_pdf._graded_rule(depth, level, *segment[1:3])[2].size
+            straddled.append(len(tasks) > max(1, 2**10 // size))
+            return quadrature(depth, level, segment, tasks)
+
+        monkeypatch.setattr(exact_pdf, "_graded_quadrature", spy)
+        curve = tabulate_pdf("n", num_points=300)
+        assert any(straddled)
+        scalars = [pdf_n2_exact(float(x), tol=1e-9) for x in curve.abscissas]
+        assert np.array_equal(curve.densities, scalars)
+        monkeypatch.undo()
+        assert np.array_equal(curve.densities, tabulate_pdf("n", num_points=300).densities)
+
+    @pytest.mark.parametrize("values", [
+        [], [3], [2, 0, 2, 1, 1], [0.5, -0.0, 0.25, 0.0, 0.5, -1e-300], np.linspace(1, 0, 7)])
+    def test_sorted_unique_is_np_unique(self, values):
+        a = np.asarray(values)
+        got = exact_pdf.sorted_unique(a)
+        assert got.dtype == np.unique(a).dtype
+        assert got.tobytes() == np.unique(a).tobytes()
 
     def test_curve_moments_match_haar_moments(self):
         # exact Haar moments of N_2 for one qubit: mean 3/5, variance 16/525

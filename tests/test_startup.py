@@ -74,3 +74,32 @@ report["after"] = scipy_modules()
     assert abs(report["mean"][0] - 0.6) < 1e-4
     assert abs(report["mean"][1] - 1.0) < 1e-8
     assert "scipy.special" in report["after"]
+
+
+def test_only_the_bootstrap_quantile_loads_numpy_ma():
+    # np.unique imports numpy.ma on first use; the package dedupes without it.
+    # np.quantile calls np.unique inside numpy, so the sampled fit's bootstrap
+    # still loads it, after its edges are built
+    report = _run("""
+import traceback
+report["ma_before"] = "numpy.ma" in sys.modules
+importers = []
+
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy.ma":
+            frames = [f.name for f in traceback.extract_stack() if "magicdist" in f.filename]
+            importers.append(frames[-1])
+
+sys.meta_path.insert(0, Spy())
+with contextlib.redirect_stdout(io.StringIO()):
+    report["more"] = [magicdist.cli.main(argv) for argv in (
+        ["sample", "--samples", "5000", "--overlay-exact"],
+        ["fit-divergence", "--samples", "20000", "--bootstrap", "10"],
+    )]
+report["importers"] = importers
+""")
+    assert report["codes"] == [0] * 6
+    assert report["more"] == [0, 0]
+    assert report["ma_before"] is False
+    assert report["importers"] == ["bootstrap_slope_ci"]
