@@ -51,13 +51,13 @@ from .pauli_spectrum import (
     pauli_spectrum_naive,
     weyl_spectrum,
 )
-from .haar_moments import haar_moments_n2
 from .exact_pdf import (
     DIVERGENCE_SLOPE_N2,
     CriticalPoint,
     PdfCurve,
     characteristic_function_n2,
     critical_points,
+    haar_moments_n2,
     law,
     mean_sre_exact,
     n_critical,

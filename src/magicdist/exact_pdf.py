@@ -47,6 +47,10 @@ as well, taken with the 12-node panels.  Both go through ``quad``, which
 doubles the panels up to ``_MAX_PANELS`` in ``_refine``, the loop that
 certifies the density too.
 
+Beyond one qubit, ``haar_moments_n2`` gives the exact Haar mean and
+variance of N_2 on n qubits, rational in d = 2^n: the closed-form check
+of the multi-qubit moment kernel.
+
 Importing this module loads no scipy, and neither does ``mean_sre_exact``:
 the 8- and 12-node rules are stored as literals.  Only chi(k) imports
 scipy.special, on its first call, for its 32-node rule and J0
@@ -57,6 +61,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import lru_cache, partial
 
 import numpy as np
@@ -65,7 +70,7 @@ from .errors import InvalidOrder, InvalidSpectrum, ResourceLimit, SingularPoint
 from .bessel import j0
 from .pauli_spectrum import MOMENT_MEASURES, canonical_measure, check_order, measure_from_n
 from .pauli_spectrum import n_from_measure, support_for
-from .statevec import BlochVector
+from .statevec import BlochVector, check_register
 
 DIVERGENCE_SLOPE_N2 = 3.0 / (math.sqrt(2.0) * math.pi)  # 0.675237...
 SINGULAR_GUARD = 1e-9
@@ -536,6 +541,28 @@ def mean_sre_exact(tol: float = 1e-8) -> float:
         return np.log(16.0 / (7 * u * u - 6 * u + 4 * np.sqrt(inner) + 7))
 
     return float(quad(f, 0.0, 1.0, tol, _PANEL_NODES, _PANEL_WEIGHTS)[0])
+
+
+def haar_moments_n2(n_sites: int) -> tuple[Fraction, Fraction]:
+    """Exact (mean, variance) of N_2 over Haar n-qubit states, d = 2^n:
+    3 (d - 1)/(d + 3) and 96 d^2 (d - 1)/((d + 3)^2 (d + 5)(d + 6)(d + 7)).
+
+    N_2 sums <P>^4 over the d^2 - 1 nontrivial Pauli strings P.  A Haar
+    state's weights in P's eigenbasis are Dirichlet(1, ..., 1), so
+    <P> = 2B - 1 with B ~ Beta(d/2, d/2) and E<P>^(2k) = (1/2)_k / ((d+1)/2)_k.
+    Of the other strings, d^2/2 - 2 commute with P and d^2/2 anticommute.
+    A commuting Q splits C^d into four blocks with Dirichlet(d/4 x 4)
+    weights: s = (<P> + <Q>)/2 = W (2B_1 - 1), t = (<P> - <Q>)/2 =
+    (1 - W)(2B_2 - 1), W ~ Beta(d/2, d/2), B_1, B_2 ~ Beta(d/4, d/4), and
+    <P>^4 <Q>^4 = (s^2 - t^2)^4.  An anticommuting pair is two components
+    of a reduced qubit's Bloch vector r n, with E[n_x^4 n_z^4] = 1/105 and
+    r^2 ~ Beta(3/2, d/2 - 1).
+    """
+    check_register(2, n_sites)
+    d = 2 ** int(n_sites)
+    mean = Fraction(3 * (d - 1), d + 3)
+    var = Fraction(96 * d * d * (d - 1), (d + 3) ** 2 * (d + 5) * (d + 6) * (d + 7))
+    return mean, var
 
 
 @lru_cache(maxsize=1)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 import numpy as np
 
@@ -32,7 +33,7 @@ class SeededRng:
     def __post_init__(self):
         for name in ("seed", "stream_id"):
             v = getattr(self, name)
-            if not 0 <= int(v) < 2**64:
+            if not _is_integer(v) or not 0 <= v < 2**64:
                 raise ValueError(f"{name} must be an unsigned 64-bit integer, got {v!r}")
 
     def generator(self) -> np.random.Generator:
@@ -48,9 +49,17 @@ def _as_generator(rng) -> np.random.Generator:
     raise TypeError(f"expected SeededRng or numpy Generator, got {type(rng).__name__}")
 
 
+def _is_integer(v) -> bool:
+    """An int or numpy integer; a bool is no integer."""
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
 def check_register(q: int, n: int):
-    """Raise InvalidDimension unless (q, n) is a register: local dimension
-    q >= 2 and n >= 1 sites, a qudit (q > 2) on a single site."""
+    """Raise InvalidDimension unless (q, n) is a register: integer local
+    dimension q >= 2 and n >= 1 sites (``_is_integer``), a qudit (q > 2) on
+    a single site."""
+    if not (_is_integer(q) and _is_integer(n)):
+        raise InvalidDimension(f"local_dim and num_sites must be integers, got q={q!r}, n={n!r}")
     if q < 2 or n < 1:
         raise InvalidDimension(f"need local_dim >= 2 and num_sites >= 1, got q={q}, n={n}")
     if q > 2 and n != 1:
@@ -73,7 +82,7 @@ class PureState:
         amps = np.asarray(self.amplitudes, dtype=np.complex128).reshape(-1).copy()
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
-        q, n = int(self.local_dim), int(self.num_sites)
+        q, n = self.local_dim, self.num_sites
         check_register(q, n)
         if amps.size != q**n:
             raise InvalidDimension(f"{amps.size} amplitudes cannot hold {n} sites of dimension {q}")

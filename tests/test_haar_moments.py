@@ -26,9 +26,12 @@ def test_checked_values():
     assert haar_moments_n2(1) == (Fraction(3, 5), Fraction(16, 525))
     assert haar_moments_n2(2) == (Fraction(9, 7), Fraction(256, 2695))
     assert haar_moments_n2(np.int64(2)) == haar_moments_n2(2)
-    mean, var = haar_moments_n2(6)
-    assert mean == Fraction(189, 67)
-    assert float(var) == pytest.approx(0.0160922, abs=5e-8)
+    # values of the S_8 permutation sum over the symmetric projector
+    assert haar_moments_n2(3) == (Fraction(21, 11), Fraction(1024, 7865))
+    assert haar_moments_n2(4) == (Fraction(45, 19), Fraction(61440, 639331))
+    assert haar_moments_n2(6) == (Fraction(189, 67), Fraction(589824, 36652685))
+    assert haar_moments_n2(10) == (Fraction(3069, 1027),
+                                   Fraction(17163091968, 192088294935355))
 
 
 def test_one_qubit_is_dirichlet():
@@ -37,6 +40,32 @@ def test_one_qubit_is_dirichlet():
     mean = 3 * _dirichlet_moment((2, 0, 0))
     second = 3 * _dirichlet_moment((4, 0, 0)) + 6 * _dirichlet_moment((2, 2, 0))
     assert haar_moments_n2(1) == (mean, second - mean * mean)
+
+
+def _even_moment(a: Fraction, k: int) -> Fraction:
+    """E[(2B - 1)^(2k)] for B ~ Beta(a, a)."""
+    half = Fraction(1, 2)
+    return _rising(half, k) / _rising(a + half, k)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
+def test_variance_from_dirichlet_pairs(n):
+    # E[N_2^2] over the diagonal, the commuting and the anticommuting pairs
+    d = 2**n
+    half, quarter = Fraction(d, 2), Fraction(d, 4)
+    fourth, eighth = _even_moment(half, 2), _even_moment(half, 4)
+    # commuting: <P><Q> = s^2 - t^2, s = W (2B_1 - 1), t = (1 - W)(2B_2 - 1),
+    # W ~ Beta(d/2, d/2) and B_1, B_2 ~ Beta(d/4, d/4)
+    comm = sum(math.comb(4, j) * (-1) ** j
+               * _rising(half, 8 - 2 * j) * _rising(half, 2 * j) / _rising(Fraction(d), 8)
+               * _even_moment(quarter, 4 - j) * _even_moment(quarter, j)
+               for j in range(5))
+    # anticommuting: two Bloch components r n of a reduced qubit,
+    # E[n_x^4 n_z^4] = 1/105 and r^2 ~ Beta(3/2, d/2 - 1)
+    anti = _rising(Fraction(3, 2), 4) / _rising(half + Fraction(1, 2), 4) / 105
+    mean = (d * d - 1) * fourth
+    second = (d * d - 1) * (eighth + (half * d - 2) * comm + half * d * anti)
+    assert haar_moments_n2(n) == (mean, second - mean * mean)
 
 
 @pytest.mark.parametrize("n", range(1, 8))

@@ -181,6 +181,29 @@ class TestSampling:
             sample_measure("n", 2.0, q, n_sites, 10, seed=0)
         assert draws == []
 
+    @pytest.mark.parametrize("q, n_sites", [(2.0, 1), (2.7, 1), (True, 1), (2, 3.0), (2, True),
+                                            (2, np.bool_(True))])
+    @pytest.mark.parametrize("sampler", [
+        lambda q, n: sample_array("n", 2.0, q, n, 10, 1),
+        lambda q, n: histogram_measure("n", 2.0, q, n, 10, 1, [0.0, 1.0]),
+    ], ids=["sample_array", "histogram_measure"])
+    def test_a_non_integer_register_is_refused_before_the_draw(self, monkeypatch, sampler, q,
+                                                               n_sites):
+        draws = []
+        monkeypatch.setattr(montecarlo, "haar_block", lambda *args: draws.append(args))
+        with pytest.raises(InvalidDimension, match="must be integers"):
+            sampler(q, n_sites)
+        assert draws == []
+
+    @pytest.mark.parametrize("seed", [1.7, 2.0, True, "3"])
+    def test_a_non_integer_seed_is_refused(self, seed):
+        with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+            sample_array("n", 2.0, 2, 1, 10, seed)
+
+    def test_numpy_integers_are_integers(self):
+        values = sample_array("n", 2.0, np.int64(2), np.int64(2), 10, np.uint64(5))
+        assert np.array_equal(values, sample_array("n", 2.0, 2, 2, 10, 5))
+
     def test_alpha_guard(self):
         from magicdist import InvalidOrder
 

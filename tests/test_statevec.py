@@ -48,6 +48,18 @@ class TestSeededRng:
         with pytest.raises(ValueError):
             SeededRng(-1)
 
+    @pytest.mark.parametrize("seed, stream_id", [
+        (1.5, 0), (2.9999, 0), (2.0, 0), ("3", 0), (True, 0), (np.bool_(False), 0),
+        (1, 1.7), (1, False),
+    ])
+    def test_rejects_a_non_integer(self, seed, stream_id):
+        with pytest.raises(ValueError, match="unsigned 64-bit integer"):
+            SeededRng(seed, stream_id)
+
+    def test_numpy_integers_name_the_same_stream(self):
+        a = SeededRng(np.uint64(123), np.int64(7)).generator().standard_normal(8)
+        assert np.array_equal(a, SeededRng(123, 7).generator().standard_normal(8))
+
 
 class TestPureState:
     def test_norm_enforced(self):
@@ -62,6 +74,17 @@ class TestPureState:
     def test_qudit_single_site_only(self):
         with pytest.raises(InvalidDimension):
             PureState(np.zeros(9) + np.eye(9)[0], 3, 2)
+
+    @pytest.mark.parametrize("local_dim, num_sites", [
+        (2.7, 1), (2.0, 1), (True, 1), (2, 1.0), (2, True), (2, np.bool_(True)), ("2", 1),
+    ])
+    def test_non_integer_register_refused(self, local_dim, num_sites):
+        with pytest.raises(InvalidDimension, match="must be integers"):
+            PureState(np.array([1.0, 0.0]), local_dim, num_sites)
+
+    def test_numpy_integer_register_accepted(self):
+        s = PureState(np.array([1.0, 0.0]), np.int64(2), np.int64(1))
+        assert (s.local_dim, s.num_sites, s.dim) == (2, 1, 2)
 
     def test_canonicalized_phase(self):
         s = PureState(np.array([0.6j, 0.8j]), 2, 1).canonicalized()
