@@ -121,9 +121,9 @@ def register_shape(dim: int, local_dim: int | None = None) -> tuple[int, int]:
     local dimension 2, else one qudit, checked by ``check_register``.  Only
     ``local_dim=None`` infers it: 2 when dim is a power of two, else dim
     itself; any other value, 0 included, is taken as given."""
-    if local_dim is None:
-        local_dim = 2 if dim & (dim - 1) == 0 else dim
-    q = int(local_dim)
+    q = local_dim
+    if q is None:
+        q = 2 if dim & (dim - 1) == 0 else dim
     n = int(dim).bit_length() - 1 if q == 2 else 1
     check_register(q, n)
     if q**n != dim:

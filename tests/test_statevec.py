@@ -119,7 +119,8 @@ class TestHaarSample:
     @pytest.mark.parametrize("d, local_dim, shape", [
         (2, None, (2, 1)), (8, None, (2, 3)), (3, None, (3, 1)), (4, 4, (4, 1)),
         (3, 2, None), (2, 3, None), (0, None, None),
-        (1, None, None), (1, 1, None), (4, 0, None),
+        (1, None, None), (1, 1, None), (4, 0, None), (4, 2.0, None), (8, 2.5, None),
+        (3, 3.0, None), (4, True, None),
     ])
     def test_register_shape_checked_before_the_draw(self, monkeypatch, d, local_dim, shape):
         draws = []
