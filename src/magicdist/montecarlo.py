@@ -35,7 +35,7 @@ from .errors import (
 from .exact_pdf import PdfCurve, law
 from .pauli_spectrum import MOMENT_MEASURES, canonical_measure, check_order, check_spectrum_size
 from .pauli_spectrum import hermitian_observable, measure_rows
-from .statevec import SeededRng, check_register, haar_block
+from .statevec import SeededRng, _is_integer, check_register, haar_block
 
 CHUNK_SIZE = 4096
 # worker threads a sampler may start: each draws a chunk at a time, which
@@ -73,9 +73,10 @@ def _in_order(work, n_chunks: int, threads: int):
 
 
 def check_threads(threads: int):
-    """Raise ValueError below 1 worker thread and ResourceLimit above MAX_THREADS."""
-    if threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
+    """Raise ValueError unless ``threads`` is an integer (``_is_integer``) of
+    at least 1 worker thread, and ResourceLimit above MAX_THREADS."""
+    if not (_is_integer(threads) and threads >= 1):
+        raise ValueError(f"threads must be at least 1 and an integer, got {threads}")
     if threads > MAX_THREADS:
         raise ResourceLimit(f"thread guard: threads <= {MAX_THREADS}, got {threads}")
 
@@ -87,8 +88,8 @@ def _check_request(measure, alpha, q, n_sites, n_samples, observable, threads):
     obs = None
     if measure == "observable" and observable is None:
         obs = _default_observable(q, n_sites)  # no register size can supply a missing one
-    if n_samples < 1:
-        raise ValueError("n_samples must be positive")
+    if not (_is_integer(n_samples) and n_samples >= 1):
+        raise ValueError(f"n_samples must be positive and an integer, got {n_samples}")
     if measure in MOMENT_MEASURES:
         check_order(alpha)
     if q == 2 and n_sites > 10:
@@ -128,9 +129,10 @@ def sample_array(measure, alpha, q, n_sites, n_samples, seed, observable=None) -
 
 
 def check_bin_count(bins: int):
-    """Raise InvalidEdges below one bin and ResourceLimit above MAX_BINS."""
-    if bins < 1:
-        raise InvalidEdges(f"need at least one bin, got {bins}")
+    """Raise InvalidEdges unless ``bins`` is an integer (``_is_integer``) of
+    at least one bin, and ResourceLimit above MAX_BINS."""
+    if not (_is_integer(bins) and bins >= 1):
+        raise InvalidEdges(f"need at least one bin and an integer bin count, got {bins}")
     if bins > MAX_BINS:
         raise ResourceLimit(f"bin guard: bins <= {MAX_BINS}, got {bins}")
 
@@ -318,9 +320,11 @@ def check_fit_window(window, center: float):
 
 
 def check_bootstrap_count(n_boot: int):
-    """Raise ValueError unless ``n_boot`` is at least MIN_BOOTSTRAP resamples."""
-    if n_boot < MIN_BOOTSTRAP:
-        raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples, got {n_boot}")
+    """Raise ValueError unless ``n_boot`` is an integer (``_is_integer``) of
+    at least MIN_BOOTSTRAP resamples."""
+    if not (_is_integer(n_boot) and n_boot >= MIN_BOOTSTRAP):
+        raise ValueError(f"need at least {MIN_BOOTSTRAP} bootstrap resamples and an integer "
+                         f"count, got {n_boot}")
 
 
 def window_mask(x, center, window, side) -> np.ndarray:
@@ -410,8 +414,24 @@ def bootstrap_slope_ci(
     if len(slopes) < max(MIN_BOOTSTRAP, n_boot // 2):
         raise InsufficientData("too many bootstrap resamples lost their bins")
     tail = (1.0 - 0.95) / 2.0
-    lo, hi = np.quantile(slopes, [tail, 1.0 - tail])
+    lo, hi = _quantiles(slopes, [tail, 1.0 - tail])
     return float(lo), float(hi)
+
+
+def _quantiles(values, probs) -> np.ndarray:
+    """``np.quantile(values, probs)`` of two or more finite values at
+    probabilities 0 <= p < 1, to the bit: numpy's linear interpolation
+    between the two order statistics around (size - 1) p, taken by
+    ``np.partition``.  np.quantile itself imports numpy.ma (through
+    np.unique)."""
+    values = np.asarray(values, dtype=float)
+    pos = (values.size - 1) * np.asarray(probs, dtype=float)
+    below = np.floor(pos).astype(np.intp)
+    above = np.minimum(below + 1, values.size - 1)
+    ordered = np.partition(values, np.concatenate([below, above]))
+    a, b, t = ordered[below], ordered[above], pos - below
+    # numpy's lerp, which starts from the nearer order statistic
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def scan_divergence_center(hist: Histogram, candidates, window, side: str = "both"):

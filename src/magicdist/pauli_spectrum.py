@@ -23,15 +23,19 @@ two planes and transformed, over n - 1 bits; the parity select puts 4 R^2
 or 4 I^2 at each b (a moment sums both planes as they are, since each b'
 has one of each over b_k = 0, 1).  The a = 0 row is the full-length
 transform of |psi|^2.  A transform of length 2^m is the Kronecker product
-of Sylvester matrices of order at most 64, so it runs as ceil(m/6) real
-matrix products (BLAS GEMMs) rather than m butterfly passes over memory.
-Each of the d^2 values then costs the sum of the factor orders of an
-(n - 1)-bit transform in multiply-adds (32 at n = 6, 32 + 64 at n = 12),
-against twice the n-bit sum for two full-length planes (128 and 256), and
-the work runs by highest-bit group in blocks of about 2^17 entries that
-stay in cache.  In ``pauli_spectrum_fast`` on one qubit, X and Y are the
-squares of 2 Re w_1(0) and 2 Im w_1(0) with no transform between, and
-doubling is exact, so |H> gives N_2 = 0.5 to the bit.
+of Sylvester matrices, so it runs as a few real matrix products (BLAS
+GEMMs) rather than m butterfly passes over memory: one of order 2^m up to
+m = 6, above that one of order 32 on the low bits and the rest of order
+at most 16 (``_factor_bits``).  Each of the d^2 values then costs the sum
+of the factor orders of an (n - 1)-bit transform in multiply-adds (32 at
+n = 6, 32 + 8 + 8 at n = 12), against twice the n-bit sum for two
+full-length planes (128 and 112).  The work runs by highest-bit group in
+blocks of about 2^17 entries that stay in cache, and the runs of masks of
+one group share one gather index: a later run is the first XOR an offset,
+so it gathers from the state permuted by that offset.  In
+``pauli_spectrum_fast`` on one qubit, X and Y are the squares of
+2 Re w_1(0) and 2 Im w_1(0) with no transform between, and doubling is
+exact, so |H> gives N_2 = 0.5 to the bit.
 
 The batch kernel ``pauli_moment_batch`` routes d = 2 around the cosets:
 it squares the Bloch components of ``statevec.bloch_components`` in
@@ -61,7 +65,8 @@ NAIVE_MAX_SITES = 6
 # largest qudit the Weyl kernels and the sampler accept
 MAX_LOCAL_DIM = 16
 # entries per block of the Pauli kernels' scratch (~2 MiB of complex or
-# two planes of reals): blocks that stay in cache run faster than larger ones
+# two planes of reals): blocks that stay in cache run faster than larger ones;
+# a power of two, so the mask runs of ``_mask_runs`` are too
 _SCRATCH = 2**17
 # values per block of the power sum over a stored spectrum
 _POWER_SUM_BLOCK = 2**20
@@ -128,24 +133,36 @@ def _sylvester(k: int) -> np.ndarray:
 _SYLVESTER = tuple(_sylvester(k) for k in range(7))
 
 
+def _factor_bits(n: int) -> list[int]:
+    """The bit groups of ``_wht_last`` over n bits, lowest bits first: one
+    group up to 6 bits; above that 5 low bits, then the rest in the fewest
+    near-equal groups of at most 4 bits, larger groups first."""
+    if n <= 6:
+        return [n]
+    rest = n - 5
+    parts = -(-rest // 4)
+    return [5, *((rest + parts - 1 - i) // parts for i in range(parts))]
+
+
 def _wht_last(f: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """Walsh-Hadamard transform of the real C-contiguous array ``f`` along
     its last axis (length 2^n): g[..., b] = sum_x (-1)^popcount(b & x) f[..., x].
 
-    H_{2^n} is the Kronecker product of ceil(n/6) Sylvester matrices of
-    order at most 64, one per group of adjacent bits, so the transform is
-    that many matrix products: the lowest bits by a plain product with the
-    contiguous axis, each higher group by a product broadcast over the
-    blocks of the bits below it.  The products alternate between ``f`` and
-    ``spare`` (C-contiguous, same shape and dtype), which are both
-    overwritten; the result is returned as one of the two.
+    H_{2^n} is the Kronecker product of Sylvester matrices, one per group of
+    adjacent bits of ``_factor_bits(n)``, so the transform is that many
+    matrix products: the lowest bits by a plain product with the contiguous
+    axis, each higher group by a product broadcast over the blocks of the
+    bits below it.  Up to 6 bits one factor is kept; above, an order-32
+    factor on the contiguous axis and factors of order at most 16 over the
+    strided ones run faster than fewer, larger ones (at 12 bits, [5, 4, 3]
+    takes under 60% of the time of [6, 6]).  The products alternate
+    between ``f`` and ``spare`` (C-contiguous, same shape and dtype), which
+    are both overwritten; the result is returned as one of the two.
     """
     n = f.shape[-1].bit_length() - 1
-    parts = max(1, -(-n // 6))
     src, dst = f, spare
     inner = 1  # length of the bit groups already transformed
-    for i in range(parts):
-        k = (n + i) // parts  # group sizes sum to n and differ by at most 1
+    for k in _factor_bits(n):
         h = _SYLVESTER[k]
         if inner == 1:
             np.matmul(src.reshape(-1, 2**k), h, out=dst.reshape(-1, 2**k))
@@ -172,19 +189,24 @@ def _view(buf: np.ndarray, shape) -> np.ndarray:
 
 
 def _mask_runs(d: int, rows: int, scratch):
-    """Yield (k, masks, index) for every mask a != 0 of a register of
+    """Yield (k, masks, index, shift) for every mask a != 0 of a register of
     dimension d, by highest bit k: ``masks`` is a run of at most ``rows``
-    masks of [2^k, 2^(k+1)), and row r of ``index`` holds x XOR masks[r]
-    over the d/2 representatives x, the indices with bit k clear in
-    increasing order.  ``index`` lives in ``scratch`` until the next run."""
+    masks of [2^k, 2^(k+1)), and row r of ``index`` holds x XOR masks[r] XOR
+    shift over the d/2 representatives x, the indices with bit k clear in
+    increasing order.  ``rows`` is a power of two, so every run of a group
+    is the group's first run XOR its offset ``shift`` (a multiple of
+    ``rows`` below 2^k), and one index per k, in ``scratch`` until the
+    next k, serves them all (``_coset_table`` gathers through it from the
+    state permuted by y -> y XOR shift)."""
     x = np.arange(d // 2)
     for k in range(d.bit_length() - 1):
         low = (1 << k) - 1
         reps = ((x & ~low) << 1) | (x & low)
-        for lo in range(1 << k, 2 << k, rows):
-            masks = np.arange(lo, min(lo + rows, 2 << k))
-            index = _view(scratch[0], (masks.size, x.size))
-            yield k, masks, np.bitwise_xor(masks[:, None], reps, out=index)
+        first = np.arange(1 << k, min((1 << k) + rows, 2 << k))
+        index = _view(scratch[0], (first.size, x.size))
+        np.bitwise_xor(first[:, None], reps, out=index)
+        for shift in range(0, 1 << k, first.size):
+            yield k, first ^ shift, index, shift
 
 
 def _diagonal_row(states: np.ndarray, scratch) -> np.ndarray:
@@ -202,11 +224,12 @@ def _diagonal_row(states: np.ndarray, scratch) -> np.ndarray:
     return np.square(f, out=f)
 
 
-def _coset_table(states: np.ndarray, k: int, index: np.ndarray, scratch) -> np.ndarray:
+def _coset_table(states: np.ndarray, k: int, index: np.ndarray, shift: int,
+                 scratch) -> np.ndarray:
     """(2, m, rows, d/2) planes 4 R^2 and 4 I^2 for each row psi of the
     (m, d) ``states`` and each of the ``rows`` masks a of one run of
-    ``_mask_runs`` (highest bit k, gather ``index``).  The result lives in
-    ``scratch`` until the next call.
+    ``_mask_runs`` (highest bit k, gather ``index``, offset ``shift``).
+    The result lives in ``scratch`` until the next call.
 
     With w_a(x) = conj(psi(x XOR a)) psi(x), w_a(x XOR a) = conj(w_a(x)), so
     for a of highest bit k, <X^a Z^b> is, up to phase, 2 R(b') when
@@ -217,13 +240,18 @@ def _coset_table(states: np.ndarray, k: int, index: np.ndarray, scratch) -> np.n
     which has the same squares, so only psi at the representatives is
     conjugated, not the gathered table.
     """
-    m = states.shape[0]
+    m, d = states.shape
     rows, half = index.shape
     shape = (m, rows, half)
     _, table_buf, planes_buf, spare_buf = scratch
+    source = states
+    if shift:
+        # psi(y XOR shift), in the planes buffer until the gather
+        source = _view(planes_buf.view(np.complex128), (m, d))
+        np.take(states, np.bitwise_xor(np.arange(d), shift), axis=1, out=source)
     # the table is row-major, so later reductions run in a fixed order
     table = _view(table_buf, shape)
-    np.take(states, index, axis=1, out=table, mode="clip")
+    np.take(source, index, axis=1, out=table, mode="clip")
     # conj(psi) at the representatives, in the spare buffer until the transform
     conj_reps = _view(spare_buf.view(np.complex128), (m, 1, half))
     np.conjugate(states.reshape(m, 1, -1, 2, 1 << k)[:, :, :, 0, :],
@@ -256,9 +284,10 @@ def pauli_spectrum_fast(s: PureState) -> PauliSpectrum:
     mods = np.empty(d * d)
     mods[:d] = _diagonal_row(psi, scratch)[0]
     low_bits = np.arange(d // 2, dtype=np.min_scalar_type(d))
-    for k, masks, index in _mask_runs(d, max(1, _SCRATCH // (d // 2)), scratch):
+    for k, masks, index, shift in _mask_runs(d, max(1, _SCRATCH // (d // 2)), scratch):
         shape = (masks.size, -1, 1 << k)
-        even, odd = (p.reshape(shape) for p in _coset_table(psi, k, index, scratch)[:, 0])
+        table = _coset_table(psi, k, index, shift, scratch)
+        even, odd = (p.reshape(shape) for p in table[:, 0])
         # b = (bits above k, b_k, bits below k): popcount(a & b) is odd where
         # exactly one of popcount(a & b_low) and b_k is
         a = masks.astype(low_bits.dtype)[:, None, None]
@@ -569,12 +598,12 @@ def pauli_moment_batch(states: np.ndarray, alpha: float) -> np.ndarray:
         # and then subtracted, it would cost a small N_alpha its relative precision
         out[i : i + step] = moment(_diagonal_row(states[i : i + step], scratch)[:, 1:])
     rows = max(1, _SCRATCH // (d // 2))
-    for k, masks, index in _mask_runs(d, rows, scratch):
+    for k, masks, index, shift in _mask_runs(d, rows, scratch):
         step = max(1, rows // masks.size)
         for i in range(0, m, step):
             # each b' holds one 4 R^2 and one 4 I^2 over b_k = 0, 1, so both
             # planes sum as they are
-            even, odd = _coset_table(states[i : i + step], k, index, scratch)
+            even, odd = _coset_table(states[i : i + step], k, index, shift, scratch)
             out[i : i + step] += moment(even)
             out[i : i + step] += moment(odd)
     return out

@@ -240,6 +240,34 @@ class TestSampling:
         with pytest.raises(MissingObservable, match="observable="):
             sample_measure("observable", 2.0, q, n_sites, 10, seed=0)
 
+    @pytest.mark.parametrize("call, error", [
+        (lambda: sample_array("n", 2.0, 2, 1, 10.5, 1), ValueError),
+        (lambda: sample_array("n", 2.0, 2, 1, 10.0, 1), ValueError),
+        (lambda: sample_array("n", 2.0, 2, 1, True, 1), ValueError),
+        (lambda: sample_measure("n", 2.0, 2, 1, np.float64(10), seed=0), ValueError),
+        (lambda: histogram_measure("n", 2.0, 2, 1, 10, 1, True), InvalidEdges),
+        (lambda: montecarlo.check_bin_count(4.0), InvalidEdges),
+        (lambda: measure_mean("n", 2.0, 2, 1, 10, 1, threads=1.5), ValueError),
+        (lambda: histogram_measure("n", 2.0, 2, 1, 10, 1, 4, threads=True), ValueError),
+        (lambda: montecarlo.check_threads(2.0), ValueError),
+        (lambda: montecarlo.check_bootstrap_count(20.0), ValueError),
+        (lambda: montecarlo.check_bootstrap_count(True), ValueError),
+    ], ids=["samples_fraction", "samples_float", "samples_bool", "samples_numpy_float",
+            "bins_bool", "bins_float", "threads_fraction", "threads_bool", "threads_float",
+            "bootstrap_float", "bootstrap_bool"])
+    def test_counts_must_be_integers(self, call, error):
+        # one integer rule (statevec._is_integer) for sample, bin, thread and
+        # resample counts: a bool or a non-integral number is refused with the
+        # count's own error, before anything is drawn
+        with pytest.raises(error, match="integer"):
+            call()
+
+    def test_numpy_integer_counts_are_counts(self):
+        vals = sample_array("n", 2.0, 2, 1, np.int64(10), 1)
+        assert np.array_equal(vals, sample_array("n", 2.0, 2, 1, 10, 1))
+        h = histogram_measure("n", 2.0, 2, 1, 10, 1, np.int32(4), threads=np.int8(2))
+        assert h.counts.size == 4 and h.counts.sum() == 10
+
     def test_observable_validated_like_expectation(self):
         with pytest.raises(InvalidObservable):
             sample_array("observable", 2.0, 2, 1, 10, seed=0, observable=[[1, 1], [0, -1]])
@@ -627,6 +655,20 @@ class TestDivergenceFit:
         expected = tuple(float(v) for v in np.quantile(slopes, [0.025, 0.975]))
         assert bootstrap_slope_ci(h, 0.5, window, side, n_boot=50, seed=seed) == expected
         assert (lost > 0) == (total == 300)
+
+
+    def test_bootstrap_quantiles_equal_numpy_quantile(self):
+        # order statistics by np.partition and numpy's linear interpolation,
+        # to the bit, over sizes 10-200 with and without ties
+        rng = np.random.default_rng(17)
+        for trial in range(400):
+            size = int(rng.integers(10, 201))
+            values = rng.normal(size=size) * 10.0 ** int(rng.integers(-6, 6))
+            if trial % 2:
+                values = rng.choice(np.round(values[:5], 2), size=size)  # ties
+            probs = [0.025, 0.975, 0.0, 0.5, float(rng.random())]
+            got = montecarlo._quantiles(list(values), probs)
+            assert got.tobytes() == np.quantile(values, probs).tobytes()
 
 
 # a four-point curve with a divergence at 0.5, for refusals that need any PdfCurve

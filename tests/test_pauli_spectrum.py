@@ -32,7 +32,8 @@ from magicdist import (
     BlochVector,
     PureState,
 )
-from magicdist.pauli_spectrum import _SYLVESTER, _wht_last, hermitian_observable, measure_rows
+from magicdist.pauli_spectrum import _SYLVESTER, _factor_bits, _wht_last
+from magicdist.pauli_spectrum import hermitian_observable, measure_rows
 from magicdist.pauli_spectrum import pauli_moment_batch, weyl_moment_batch
 from magicdist.statevec import haar_block, register_shape
 
@@ -164,6 +165,29 @@ class TestCosetLayout:
         for a, b in pairs:
             assert spec.value(a, b) == pytest.approx(explicit_entry(s.amplitudes, a, b), abs=1e-12)
 
+    @pytest.mark.parametrize("n", [7, 8, 10, 12])
+    def test_product_states_meet_the_closed_form(self, n):
+        # 1 + N_alpha is multiplicative over tensor factors, and a qubit's
+        # N_alpha is the sum of its squared Bloch components to the alpha, so
+        # a product of Haar qubits checks every split transform and every
+        # shared gather index pointwise
+        for seed in range(2):
+            qubits = haar_block(2, SeededRng(n, 53 + seed), n)
+            amps = qubits[0]
+            for q in qubits[1:]:
+                amps = np.kron(amps, q)
+            z = np.conj(qubits[:, 0]) * qubits[:, 1]
+            ends = np.abs(qubits[:, 0]) ** 2 - np.abs(qubits[:, 1]) ** 2
+            squares = np.stack([(2.0 * z.real) ** 2, (2.0 * z.imag) ** 2, ends**2])
+            spec = pauli_spectrum_fast(PureState(amps, 2, n)) if n <= 10 else None
+            for alpha in (1.5, 2.0, 3.0):
+                expected = np.prod(1.0 + np.sum(squares**alpha, axis=0)) - 1.0
+                got = pauli_moment_batch(amps[None, :], alpha)[0]
+                assert got == pytest.approx(expected, rel=1e-13, abs=0)
+                if spec is not None:
+                    got = magic_report(spec, alpha).n_alpha
+                    assert got == pytest.approx(expected, rel=1e-13, abs=0)
+
     def test_moment_batch_matches_naive_sums(self):
         for n in range(2, 7):
             states = haar_block(2**n, SeededRng(n, 41), 2)
@@ -183,10 +207,20 @@ class TestWalshHadamard:
         assert h.tobytes() == hadamard(2**k, dtype=float).tobytes()
         assert h.flags.c_contiguous and not h.flags.writeable
 
+    def test_factor_rule(self):
+        # one factor up to 6 bits, so every transform of n <= 6 qubits keeps
+        # its bits; above, 5 low bits and the fewest near-equal groups of at
+        # most 4 bits, larger groups first
+        assert [_factor_bits(n) for n in range(7)] == [[n] for n in range(7)]
+        assert {n: _factor_bits(n) for n in range(7, 15)} == {
+            7: [5, 2], 8: [5, 3], 9: [5, 4], 10: [5, 3, 2], 11: [5, 3, 3], 12: [5, 4, 3],
+            13: [5, 4, 4], 14: [5, 3, 3, 3]}
+
     @pytest.mark.parametrize("n", range(15))
     def test_matches_explicit_sum(self, n):
-        # 0..6 bits take one matrix product, 7..12 two and 13..14 three;
-        # integer input keeps every partial sum exact, so equality is exact
+        # 0..6 bits take one matrix product, 7..9 two, 10..13 three and 14
+        # four (``_factor_bits``); integer input keeps every partial sum
+        # exact, so equality is exact
         d = 2**n
         rng = np.random.default_rng(n)
         f = rng.integers(-8, 9, size=(3, d)).astype(float)

@@ -76,10 +76,10 @@ report["after"] = scipy_modules()
     assert "scipy.special" in report["after"]
 
 
-def test_only_the_bootstrap_quantile_loads_numpy_ma():
-    # np.unique imports numpy.ma on first use; the package dedupes without it.
-    # np.quantile calls np.unique inside numpy, so the sampled fit's bootstrap
-    # still loads it, after its edges are built
+def test_nothing_loads_numpy_ma():
+    # np.unique and np.quantile import numpy.ma on first use; the package
+    # dedupes without the one and takes the bootstrap's quantiles without the
+    # other, so not even the sampled fit loads it
     report = _run("""
 import traceback
 report["ma_before"] = "numpy.ma" in sys.modules
@@ -88,18 +88,19 @@ importers = []
 class Spy:
     def find_spec(self, name, path=None, target=None):
         if name == "numpy.ma":
-            frames = [f.name for f in traceback.extract_stack() if "magicdist" in f.filename]
-            importers.append(frames[-1])
+            importers.append([f.name for f in traceback.extract_stack()])
 
 sys.meta_path.insert(0, Spy())
 with contextlib.redirect_stdout(io.StringIO()):
     report["more"] = [magicdist.cli.main(argv) for argv in (
         ["sample", "--samples", "5000", "--overlay-exact"],
-        ["fit-divergence", "--samples", "20000", "--bootstrap", "10"],
+        ["fit-divergence", "--samples", "20000", "--bootstrap", "20"],
     )]
 report["importers"] = importers
+report["ma_after"] = "numpy.ma" in sys.modules
 """)
     assert report["codes"] == [0] * 6
     assert report["more"] == [0, 0]
     assert report["ma_before"] is False
-    assert report["importers"] == ["bootstrap_slope_ci"]
+    assert report["importers"] == []
+    assert report["ma_after"] is False
